@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import crypto, harness, params, polyctrl, polyfit
+from .service import DEFAULT_TIMEOUT, ControllerService, DeviceSession
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 3
@@ -135,8 +137,7 @@ def cmd_simulate(args) -> int:
         if args.mode == "encrypted" and args.connect:
             host, _, port = args.connect.rpartition(":")
             port = int(os.environ.get("PAMENC_PORT", port))
-            session = harness.DeviceSession((host or "127.0.0.1", port),
-                                            timeout=args.net_timeout)
+            session = DeviceSession((host or "127.0.0.1", port), timeout=args.net_timeout)
         trace = harness.run_closed_loop(
             args.mode, profile,
             pam=pam, plant=plant, gains=gains, phi=phi, keys=keys,
@@ -159,11 +160,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from .service import ControllerService
-
     phi = polyctrl.load_phi(_in_path(args.phi))
     keys = crypto.load_keys(_in_path(args.pubkey))
-    encoding = crypto.EncodingParams(delta_xi=args.delta_xi, delta_phi=args.delta_phi)
+    encoding = crypto.EncodingParams()
     crypto.check_overflow_guard(encoding, phi, keys.p)
     rng = crypto.Drbg(args.seed)
     enc_phi = crypto.enc_matrix(phi, encoding, keys, rng)
@@ -174,7 +173,6 @@ def cmd_serve(args) -> int:
           "(holds Enc(Phi) and the public key only; Ctrl-C to stop)")
     try:
         while True:
-            import time
             time.sleep(3600)
     except KeyboardInterrupt:
         pass
@@ -193,15 +191,17 @@ def _parse_windows(spec: str) -> list[harness.MetricWindow]:
     return windows
 
 
-def cmd_evaluate(args) -> int:
-    trace = harness.SimTrace.from_csv(_in_path(args.trace))
-    windows = _parse_windows(args.windows)
-    report = harness.compare_report({args.label: [trace]}, windows)
+def _report(traces: dict[str, list[harness.SimTrace]], args) -> int:
+    report = harness.compare_report(traces, _parse_windows(args.windows))
     print(report.to_text())
     if args.out:
         report.to_csv(_out_path(args.out))
         print(f"wrote {_out_path(args.out)}")
     return EXIT_OK
+
+
+def cmd_evaluate(args) -> int:
+    return _report({args.label: [harness.SimTrace.from_csv(_in_path(args.trace))]}, args)
 
 
 def cmd_compare(args) -> int:
@@ -211,12 +211,7 @@ def cmd_compare(args) -> int:
     grouped: dict[str, list[harness.SimTrace]] = {}
     for label, path in zip(labels, args.traces):
         grouped.setdefault(label, []).append(harness.SimTrace.from_csv(_in_path(path)))
-    report = harness.compare_report(grouped, _parse_windows(args.windows))
-    print(report.to_text())
-    if args.out:
-        report.to_csv(_out_path(args.out))
-        print(f"wrote {_out_path(args.out)}")
-    return EXIT_OK
+    return _report(grouped, args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys", help="key file; encrypted mode needs the .sec file")
     p.add_argument("--connect", metavar="HOST:PORT",
                    help="route encrypted evaluation through a running service")
-    p.add_argument("--net-timeout", type=float, default=0.015)
+    p.add_argument("--net-timeout", type=float, default=DEFAULT_TIMEOUT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--warmup", type=float, default=10.0)
     p.add_argument("--load-mass", type=float, default=0.0, help="hanging mass in kg")
@@ -278,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pubkey", required=True)
     p.add_argument("--bind", default="127.0.0.1")
     p.add_argument("--port", type=int, default=4650)
-    p.add_argument("--delta-xi", type=float, default=1e8)
-    p.add_argument("--delta-phi", type=float, default=1e8)
     p.add_argument("--seed", type=int, default=None, help="nonce seed for Enc(Phi)")
     p.set_defaults(func=cmd_serve)
 

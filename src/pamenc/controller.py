@@ -80,7 +80,8 @@ def reference_forces(theta: float, tau_c: float, kp_ref: float, P1: float, P2: f
     return F1_ref, F1_ref + f5 * tau_c
 
 
-def _clamp_u(u: float) -> tuple[float, bool]:
+def clamp_u(u: float) -> tuple[float, bool]:
+    """Valve command clamped to [0, 10] V, and whether it was clamped."""
     if u < 0.0:
         return 0.0, True
     if u > 10.0:
@@ -135,6 +136,6 @@ def original_step(state: ControllerState, zin: ControllerInput, gains: Gains,
                   params: PamParams) -> tuple[ControllerState, float, float, tuple[bool, bool]]:
     """One controller step with outputs clamped to [0,10] V; flags mark clamping."""
     state_next, u1, u2 = original_step_raw(state, zin, gains, params)
-    u1, c1 = _clamp_u(u1)
-    u2, c2 = _clamp_u(u2)
+    u1, c1 = clamp_u(u1)
+    u2, c2 = clamp_u(u2)
     return state_next, u1, u2, (c1, c2)

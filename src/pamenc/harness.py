@@ -2,9 +2,10 @@
 
 A run is: warm-up at the bias voltage, then one controller step per sampling
 period against the surrogate plant (several inner integration substeps per
-period). Three controller paths exist: the rational controller, the
-matrix-vector polynomial controller, and the encrypted pipeline (in-process
-or through the TCP service). The trace records degree-valued angles for
+period). There are two controllers: the rational controller, and the
+matrix controller psi = Phi xi. The encrypted controller is the matrix
+controller with only that product evaluated under ElGamal (in-process or
+through the TCP service). The trace records degree-valued angles for
 plotting; everything inside the loop is radians.
 """
 
@@ -19,7 +20,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .controller import ControllerInput, ControllerState, original_step
+from .controller import ControllerInput, ControllerState, clamp_u, original_step
 from .crypto import (
     Drbg,
     ElGamalKeys,
@@ -190,7 +191,11 @@ class OriginalController:
 
 
 class MatrixController:
-    """Plaintext psi = Phi xi controller (the approximated path)."""
+    """Plaintext psi = Phi xi controller (the approximated path).
+
+    `step` builds xi, splits psi into the next state and the valve commands,
+    and clamps them; a subclass changes only `psi`, how psi is computed.
+    """
 
     def __init__(self, phi: np.ndarray):
         self.phi = np.asarray(phi, dtype=float)
@@ -198,46 +203,47 @@ class MatrixController:
         self.last_xi: np.ndarray | None = None
         self.last_psi: np.ndarray | None = None
 
+    def psi(self, xi: np.ndarray) -> np.ndarray:
+        """psi = Phi xi for one xi."""
+        return poly_step(self.phi, xi)
+
     def step(self, zin: ControllerInput) -> tuple[float, float, tuple[bool, bool]]:
         xi = build_xi(zin, self.state)
-        psi = poly_step(self.phi, xi)
+        psi = self.psi(xi)
         self.last_xi, self.last_psi = xi, psi
         self.state, u1, u2 = split_psi(psi)
-        u1c, f1 = _clamp(u1)
-        u2c, f2 = _clamp(u2)
+        u1c, f1 = clamp_u(u1)
+        u2c, f2 = clamp_u(u2)
         return u1c, u2c, (f1, f2)
 
 
-class EncryptedController:
-    """Full Enc -> (homomorphic products) -> Dec+ pipeline per step.
+class EncryptedController(MatrixController):
+    """The matrix controller with psi = Phi xi evaluated under encryption.
 
-    The device side holds the keys and encodes/encrypts xi each step; the
-    products come either from an in-process evaluation or a DeviceSession
-    connected to a ControllerService. `last_plain_psi` carries the
-    plaintext Phi xi value evaluated on the same xi for paired comparisons.
+    The device side holds the keys. Each step it checks xi against its
+    fixed-point bounds, encodes and encrypts it, has the products computed
+    in-process or by a ControllerService through `session`, and recovers psi
+    with Dec+. The fixed-point scale is `EncodingParams()`, the same one the
+    service's Enc(Phi) is built with. `last_plain_psi` carries the plaintext
+    Phi xi value evaluated on the same xi for paired comparisons.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
-                 encoding: EncodingParams | None = None,
                  nonce_seed: int | None = 0,
                  session: DeviceSession | None = None):
         if keys.s is None:
             raise ValueError("the device side needs the secret key for Dec+")
-        self.phi = np.asarray(phi, dtype=float)
+        super().__init__(phi)
         self.keys = keys
-        self.encoding = encoding or EncodingParams()
+        self.encoding = EncodingParams()
         self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p)
         self.zero_mask = self.phi == 0.0
         self.rng = Drbg(nonce_seed)
         self.session = session
         self.enc_phi = enc_matrix(self.phi, self.encoding, keys, self.rng)
-        self.state = ControllerState()
-        self.last_xi: np.ndarray | None = None
-        self.last_psi: np.ndarray | None = None
         self.last_plain_psi: np.ndarray | None = None
 
-    def step(self, zin: ControllerInput) -> tuple[float, float, tuple[bool, bool]]:
-        xi = build_xi(zin, self.state)
+    def psi(self, xi: np.ndarray) -> np.ndarray:
         for j, (v, bound) in enumerate(zip(xi, self.encoding.xi_bounds)):
             if abs(v) > bound:
                 raise OverflowError(
@@ -249,26 +255,13 @@ class EncryptedController:
             products = enc_eval(self.enc_phi, enc_xi, self.keys.p)
         psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds,
                                 self.zero_mask))
-        self.last_xi = xi
-        self.last_psi = psi
         self.last_plain_psi = poly_step(self.phi, xi)
-        self.state, u1, u2 = split_psi(psi)
-        u1c, f1 = _clamp(u1)
-        u2c, f2 = _clamp(u2)
-        return u1c, u2c, (f1, f2)
-
-
-def _clamp(u: float) -> tuple[float, bool]:
-    if u < 0.0:
-        return 0.0, True
-    if u > 10.0:
-        return 10.0, True
-    return u, False
+        return psi
 
 
 def make_controller(mode: str, *, pam: PamParams, gains: Gains, phi: np.ndarray | None,
-                    keys: ElGamalKeys | None, encoding: EncodingParams | None,
-                    nonce_seed: int | None, session: DeviceSession | None):
+                    keys: ElGamalKeys | None, nonce_seed: int | None,
+                    session: DeviceSession | None):
     if mode == "original":
         return OriginalController(pam, gains)
     if mode == "approx":
@@ -278,7 +271,7 @@ def make_controller(mode: str, *, pam: PamParams, gains: Gains, phi: np.ndarray 
     if mode == "encrypted":
         if phi is None or keys is None:
             raise ValueError("encrypted mode needs a Phi matrix and keys")
-        return EncryptedController(phi, keys, encoding, nonce_seed, session)
+        return EncryptedController(phi, keys, nonce_seed, session)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -291,7 +284,6 @@ def run_closed_loop(
     gains: Gains = DEFAULT_GAINS,
     phi: np.ndarray | None = None,
     keys: ElGamalKeys | None = None,
-    encoding: EncodingParams | None = None,
     nonce_seed: int | None = 0,
     session: DeviceSession | None = None,
     warmup: float = 10.0,
@@ -313,7 +305,7 @@ def run_closed_loop(
     ts = gains.ts
     n_steps = int(round(profile.duration / ts))
     controller = make_controller(mode, pam=pam, gains=gains, phi=phi, keys=keys,
-                                 encoding=encoding, nonce_seed=nonce_seed, session=session)
+                                 nonce_seed=nonce_seed, session=session)
 
     state = PlantState()
     sub_dt = ts / plant.substeps

@@ -109,11 +109,3 @@ def plant_step(state: PlantState, u1: float, u2: float, sp: SurrogatePlantParams
 
     return PlantState(theta=theta, theta_dot=theta_dot, P1=P1, P2=P2)
 
-
-def plant_saturated(state: PlantState) -> bool:
-    """True when the returned state sits on a pressure or angle clamp."""
-    return (
-        abs(state.theta) >= THETA_LIMIT
-        or state.P1 in (PRESSURE_MIN, PRESSURE_MAX)
-        or state.P2 in (PRESSURE_MIN, PRESSURE_MAX)
-    )

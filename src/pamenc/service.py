@@ -39,7 +39,8 @@ class ControllerService:
         self._sock.bind((host, port))
         self._sock.listen(8)
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._sessions: dict[socket.socket, threading.Thread] = {}  # live connections
         self._accept_thread: threading.Thread | None = None
 
     @property
@@ -57,9 +58,17 @@ class ControllerService:
                 conn, _ = self._sock.accept()
             except OSError:
                 break
-            t = threading.Thread(target=self._serve_session, args=(conn,), daemon=True)
+            t = threading.Thread(target=self._run_session, args=(conn,), daemon=True)
+            with self._lock:
+                self._sessions[conn] = t
             t.start()
-            self._threads.append(t)
+
+    def _run_session(self, conn: socket.socket) -> None:
+        try:
+            self._serve_session(conn)
+        finally:
+            with self._lock:
+                del self._sessions[conn]
 
     def _serve_session(self, conn: socket.socket) -> None:
         with conn:
@@ -102,15 +111,20 @@ class ControllerService:
             pass
 
     def stop(self) -> None:
+        """Stop accepting, end every open session, and join their threads."""
         self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=1.0)
-        for t in self._threads:
-            t.join(timeout=1.0)
+        with self._lock:
+            sessions = list(self._sessions.items())
+        # shutdown, unlike close, wakes a thread blocked in accept() or recv()
+        for sock in (self._sock, *(conn for conn, _ in sessions)):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._sock.close()
+        for t in (self._accept_thread, *(t for _, t in sessions)):
+            if t is not None:
+                t.join(timeout=1.0)
 
     def __enter__(self) -> "ControllerService":
         return self.start()

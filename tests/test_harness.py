@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pamenc import harness
 from pamenc import (
     CANONICAL_WINDOWS,
     DEFAULT_GAINS,
@@ -13,6 +14,7 @@ from pamenc import (
     REF1,
     REF2,
     ControllerService,
+    ControllerState,
     DeviceSession,
     Drbg,
     EncodingParams,
@@ -184,6 +186,47 @@ class TestClosedLoop:
         run_closed_loop("approx", short_profile, phi=phi, warmup=2.0,
                         on_step=lambda k, c: seen.append((k, c.last_psi is not None)))
         assert len(seen) == 100 and all(ok for _, ok in seen)
+
+    @pytest.mark.parametrize("mode", ["original", "approx", "encrypted"])
+    def test_anti_windup_holds_clamped_integrators(self, mode, short_profile, phi, keys):
+        states = [ControllerState()]
+        trace = run_closed_loop(mode, short_profile, phi=phi, keys=keys, warmup=2.0,
+                                anti_windup=True, on_step=lambda k, c: states.append(c.state))
+        flags = trace["clamp_flags"].astype(int)
+        assert np.any(flags & 3)  # the run clamps, so the check below is not vacuous
+        for k, f in enumerate(flags):
+            prev, cur = states[k], states[k + 1]
+            if f & 1:
+                assert cur.x_f1 == prev.x_f1
+            if f & 2:
+                assert cur.x_f2 == prev.x_f2
+
+
+class TestCallRouting:
+    """Each mode reaches the layers through harness's module globals, once per step."""
+
+    NAMES = ("build_xi", "poly_step", "enc_vector", "enc_eval", "dec_plus", "original_step")
+
+    @pytest.mark.parametrize("mode, called", [
+        ("original", {"original_step"}),
+        ("approx", {"build_xi", "poly_step"}),
+        ("encrypted", {"build_xi", "enc_vector", "enc_eval", "dec_plus", "poly_step"}),
+    ], ids=["original", "approx", "encrypted"])
+    def test_one_call_per_step(self, mode, called, phi, keys, monkeypatch):
+        counts = dict.fromkeys(self.NAMES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.NAMES:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        trace = run_closed_loop(mode, ReferenceProfile(((0.0, 0.2, 5.0, 6.0),)),
+                                phi=phi, keys=keys, warmup=0.2)
+        assert len(trace) == 10
+        assert counts == {name: 10 if name in called else 0 for name in self.NAMES}
 
 
 class TestCompareReport:

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -213,3 +214,21 @@ class TestService:
         for t in threads:
             t.join()
         assert results == [True] * 4
+
+    @pytest.mark.parametrize("n_sessions", [0, 3])
+    def test_stop_returns_at_once_and_leaves_no_thread(self, enc_phi, keys, n_sessions):
+        before = set(threading.enumerate())
+        svc = ControllerService(enc_phi, keys.p).start()
+        sessions = [DeviceSession(svc.address, timeout=2.0) for _ in range(n_sessions)]
+        try:
+            for dev in sessions:  # each session thread is now blocked reading its next frame
+                dev.eval(enc_vector(np.ones(18), 1e8, keys, Drbg(62)))
+            time.sleep(0.1)  # let the accept thread block in accept()
+            t0 = time.perf_counter()
+            svc.stop()
+            elapsed = time.perf_counter() - t0
+        finally:
+            for dev in sessions:
+                dev.close()
+        assert elapsed < 0.5
+        assert not set(threading.enumerate()) - before
