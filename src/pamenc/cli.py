@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -115,6 +116,8 @@ def _phi_for_run(args, pam, gains):
 
 
 def cmd_simulate(args) -> int:
+    if args.verbose_xi and args.mode == "original":
+        raise BadCombinationError("--verbose-xi needs --mode approx or encrypted")
     pam = _load_pam(args)
     plant = _load_plant(args, pam)
     gains = _load_gains(args, default="surrogate")
@@ -141,7 +144,7 @@ def cmd_simulate(args) -> int:
         trace = harness.run_closed_loop(
             args.mode, profile,
             pam=pam, plant=plant, gains=gains, phi=phi, keys=keys,
-            nonce_seed=args.seed, session=session,
+            session=session,
             warmup=args.warmup,
             noise_theta=args.noise_theta, noise_pressure=args.noise_pressure,
             noise_seed=args.seed,
@@ -162,6 +165,8 @@ def cmd_simulate(args) -> int:
 def cmd_serve(args) -> int:
     phi = polyctrl.load_phi(_in_path(args.phi))
     keys = crypto.load_keys(_in_path(args.pubkey))
+    if keys.s is not None:
+        raise BadCombinationError("key file holds the secret exponent; serve takes the .pub file")
     encoding = crypto.EncodingParams()
     crypto.check_overflow_guard(encoding, phi, keys.p)
     rng = crypto.Drbg(args.seed)
@@ -169,9 +174,12 @@ def cmd_serve(args) -> int:
     port = int(os.environ.get("PAMENC_PORT", args.port))
     service = ControllerService(enc_phi, keys.p, host=args.bind, port=port)
     service.start()
-    print(f"controller service on {service.address[0]}:{service.address[1]} "
-          "(holds Enc(Phi) and the public key only; Ctrl-C to stop)")
     try:
+        # Both signals end the wait, so stop() runs; SIGINT also when it was ignored at start.
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, signal.default_int_handler)
+        print(f"controller service on {service.address[0]}:{service.address[1]} "
+              "(holds Enc(Phi) and the public key only; SIGINT or SIGTERM stops it)", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", metavar="HOST:PORT",
                    help="route encrypted evaluation through a running service")
     p.add_argument("--net-timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="sensor-noise seed")
     p.add_argument("--warmup", type=float, default=10.0)
     p.add_argument("--load-mass", type=float, default=0.0, help="hanging mass in kg")
     p.add_argument("--noise-theta", type=float, default=0.0, help="angle noise std, rad")
@@ -264,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record wall-clock controller time (breaks byte-reproducibility)")
     p.add_argument("--anti-windup", action="store_true",
                    help="hold force integrators while their valve commands clamp")
-    p.add_argument("--verbose-xi", action="store_true", help="append xi columns to the trace")
+    p.add_argument("--verbose-xi", action="store_true", help="append xi columns (approx/encrypted)")
     p.add_argument("--out", default="trace.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("serve", help="run the encrypted-controller service")
     p.add_argument("--phi", required=True)
-    p.add_argument("--pubkey", required=True)
+    p.add_argument("--pubkey", required=True, help="public key file (.pub)")
     p.add_argument("--bind", default="127.0.0.1")
     p.add_argument("--port", type=int, default=4650)
     p.add_argument("--seed", type=int, default=None, help="nonce seed for Enc(Phi)")

@@ -5,7 +5,7 @@ values embedded as centered representatives in (-p/2, p/2). Zero cannot be
 represented multiplicatively, so it encodes as 1 (value 1/delta after
 decoding). One controller step encrypts the 18 xi entries, multiplies them
 elementwise against Enc(Phi), and decrypts/decodes the 90 products before
-summing rows in plaintext (Dec+).
+summing rows in plaintext (Dec+); each decryption is one modular power.
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -25,18 +25,21 @@ from typing import NamedTuple
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
-_SMALL_PRIMES: list[int] = []
+# Search limits: safe-prime candidates per keygen, keys per find_session_key.
+_KEYGEN_ATTEMPTS = 500_000
+_SESSION_KEY_TRIES = 64
 
 
-def _small_primes() -> list[int]:
-    if not _SMALL_PRIMES:
-        sieve = bytearray([1]) * 2000
-        sieve[0] = sieve[1] = 0
-        for i in range(2, 45):
-            if sieve[i]:
-                sieve[i * i:: i] = bytearray(len(sieve[i * i:: i]))
-        _SMALL_PRIMES.extend(i for i, v in enumerate(sieve) if v)
-    return _SMALL_PRIMES
+def _primes_below(n: int) -> tuple[int, ...]:
+    """Sieve of Eratosthenes; the result is the trial divisors run before Miller-Rabin."""
+    composite: set[int] = set()
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if i not in composite:
+            composite.update(range(i * i, n, i))
+    return tuple(i for i in range(2, n) if i not in composite)
+
+
+_SMALL_PRIMES = _primes_below(2000)
 
 
 class Drbg:
@@ -82,11 +85,11 @@ class Drbg:
                 return lo + v
 
 
-def is_probable_prime(n: int, rounds: int = 64, rng: Drbg | None = None) -> bool:
-    """Miller-Rabin; exact below ~81 bits, error < 4^-rounds above."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin; exact below ~81 bits, above that 64 bases from Drbg(n) (error < 4^-64)."""
     if n < 2:
         return False
-    for p in _small_primes():
+    for p in _SMALL_PRIMES:
         if n == p:
             return True
         if n % p == 0:
@@ -110,8 +113,8 @@ def is_probable_prime(n: int, rounds: int = 64, rng: Drbg | None = None) -> bool
     if n < _MR_DETERMINISTIC_LIMIT:
         bases = _MR_BASES
     else:
-        rng = rng or Drbg(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+        rng = Drbg(n)
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
     return not any(witness(a) for a in bases)
 
 
@@ -141,17 +144,16 @@ class KeygenError(RuntimeError):
     pass
 
 
-def keygen(bits: int = 64, seed: int | None = None, max_attempts: int = 500_000) -> ElGamalKeys:
+def keygen(bits: int = 64, seed: int | None = None) -> ElGamalKeys:
     """Generate a safe prime p = 2q+1 of `bits` bits, a full-group generator, and a key pair."""
     if bits < 16:
         raise ValueError("key length below the 16-bit sanity floor")
     rng = Drbg(seed)
-    small = _small_primes()
-    for _ in range(max_attempts):
+    for _ in range(_KEYGEN_ATTEMPTS):
         q = rng.randbits(bits - 1) | (1 << (bits - 2)) | 1
         p = 2 * q + 1
         # q >= 2^14 for all allowed bit lengths, so q itself is never a sieve prime
-        if any(q % sp == 0 or p % sp == 0 for sp in small):
+        if any(q % sp == 0 or p % sp == 0 for sp in _SMALL_PRIMES):
             continue
         if not is_probable_prime(q):
             continue
@@ -159,12 +161,13 @@ def keygen(bits: int = 64, seed: int | None = None, max_attempts: int = 500_000)
             continue
         break
     else:
-        raise KeygenError(f"no {bits}-bit safe prime found in {max_attempts} attempts")
+        raise KeygenError(f"no {bits}-bit safe prime found in {_KEYGEN_ATTEMPTS} attempts")
 
     # Generator of the full group: order 2q, so g works iff g^2 != 1 and g^q != 1.
+    # g^2 != 1 always holds: only +-1 square to 1 mod a prime, and g is in [2, p-2].
     for _ in range(10_000):
         g = rng.randrange(2, p - 1)
-        if pow(g, 2, p) != 1 and pow(g, q, p) != 1:
+        if pow(g, q, p) != 1:
             break
     else:
         raise KeygenError("generator search failed")
@@ -205,11 +208,10 @@ def encrypt(m: int, keys: ElGamalKeys, rng: Drbg) -> Ciphertext:
 
 
 def decrypt(ct: Ciphertext, keys: ElGamalKeys) -> int:
-    """m = c2 * (c1^s)^-1 mod p (inverse via Fermat)."""
+    """m = c2 * c1^(p-1-s) mod p: one power, as c1^(p-1-s) = (c1^s)^-1 and s <= p-2."""
     if keys.s is None:
         raise ValueError("secret exponent required for decryption")
-    shared = pow(ct.c1, keys.s, keys.p)
-    return ct.c2 * pow(shared, keys.p - 2, keys.p) % keys.p
+    return ct.c2 * pow(ct.c1, keys.p - 1 - keys.s, keys.p) % keys.p
 
 
 def hom_mul(a: Ciphertext, b: Ciphertext, p: int) -> Ciphertext:
@@ -276,7 +278,7 @@ def check_overflow_guard(params: EncodingParams, phi, p: int):
 
 
 def find_session_key(phi, params: EncodingParams | None = None, bits: int = 64,
-                     seed: int | None = 0, tries: int = 64) -> ElGamalKeys:
+                     seed: int | None = 0) -> ElGamalKeys:
     """First key (seed, seed+1, ...) whose modulus passes the overflow guard.
 
     With the default scaling the largest Phi*xi products need p in the upper
@@ -284,18 +286,14 @@ def find_session_key(phi, params: EncodingParams | None = None, bits: int = 64,
     is correctly rejected by the guard; this wraps the retry loop.
     """
     params = params or EncodingParams()
-    if seed is None:
-        seed_iter = (None for _ in range(tries))
-    else:
-        seed_iter = iter(range(seed, seed + tries))
-    for s in seed_iter:
-        keys = keygen(bits=bits, seed=s)
+    for i in range(_SESSION_KEY_TRIES):
+        keys = keygen(bits=bits, seed=None if seed is None else seed + i)
         try:
             check_overflow_guard(params, phi, keys.p)
         except OverflowGuardError:
             continue
         return keys
-    raise KeygenError(f"no guard-passing {bits}-bit key in {tries} attempts")
+    raise KeygenError(f"no guard-passing {bits}-bit key in {_SESSION_KEY_TRIES} attempts")
 
 
 def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg) -> list[Ciphertext]:
@@ -304,21 +302,8 @@ def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg) -> list[Ciphe
 
 
 def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys, rng: Drbg) -> list[list[Ciphertext]]:
-    """Elementwise encode-then-encrypt of the 5x18 controller matrix."""
-    import numpy as np
-
-    phi = np.asarray(phi, dtype=float)
-    out: list[list[Ciphertext]] = []
-    for i in range(phi.shape[0]):
-        row = []
-        for j in range(phi.shape[1]):
-            try:
-                m = encode(float(phi[i, j]), params.delta_phi, keys.p)
-            except EncodeOverflowError as exc:
-                raise EncodeOverflowError(f"Phi[{i+1}][{j+1}]: {exc}") from exc
-            row.append(encrypt(m, keys, rng))
-        out.append(row)
-    return out
+    """Row-major encode-then-encrypt of the 5x18 controller matrix."""
+    return [enc_vector(row, params.delta_phi, keys, rng) for row in phi]
 
 
 def enc_eval(enc_phi: list[list[Ciphertext]], enc_xi: list[Ciphertext],
@@ -396,6 +381,6 @@ def load_keys(path: str | Path) -> ElGamalKeys:
     keys = ElGamalKeys(p=fields["p"], g=fields["g"], h=fields["h"], s=fields.get("s"))
     if not 1 < keys.g < keys.p:
         raise ValueError("generator out of range")
-    if keys.s is not None and pow(keys.g, keys.s, keys.p) != keys.h:
-        raise ValueError("inconsistent key file: h != g^s mod p")
+    if keys.s is not None and not (0 < keys.s < keys.p - 1 and pow(keys.g, keys.s, keys.p) == keys.h):
+        raise ValueError("inconsistent key file: need 0 < s < p-1 and h = g^s mod p")
     return keys

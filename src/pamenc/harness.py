@@ -229,7 +229,7 @@ class EncryptedController(MatrixController):
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
-                 nonce_seed: int | None = 0,
+                 nonce_seed: int | None = None,
                  session: DeviceSession | None = None):
         if keys.s is None:
             raise ValueError("the device side needs the secret key for Dec+")
@@ -240,7 +240,8 @@ class EncryptedController(MatrixController):
         self.zero_mask = self.phi == 0.0
         self.rng = Drbg(nonce_seed)
         self.session = session
-        self.enc_phi = enc_matrix(self.phi, self.encoding, keys, self.rng)
+        self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng)
+                        if session is None else None)  # else the service holds Enc(Phi)
         self.last_plain_psi: np.ndarray | None = None
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
@@ -284,7 +285,7 @@ def run_closed_loop(
     gains: Gains = DEFAULT_GAINS,
     phi: np.ndarray | None = None,
     keys: ElGamalKeys | None = None,
-    nonce_seed: int | None = 0,
+    nonce_seed: int | None = None,
     session: DeviceSession | None = None,
     warmup: float = 10.0,
     noise_theta: float = 0.0,
@@ -301,7 +302,11 @@ def run_closed_loop(
     control phase (step k=0 is the first controller invocation). Per-step
     compute time covers the controller call only and is written as 0.0
     unless `measure_time` is set, keeping default traces byte-reproducible.
+    Nonces are OS-random unless `nonce_seed` is set (the trace is the same
+    either way: decryption is exact); `record_xi` needs approx or encrypted.
     """
+    if record_xi and mode == "original":
+        raise ValueError("record_xi needs a matrix controller: mode approx or encrypted")
     ts = gains.ts
     n_steps = int(round(profile.duration / ts))
     controller = make_controller(mode, pam=pam, gains=gains, phi=phi, keys=keys,
@@ -370,7 +375,7 @@ def run_closed_loop(
         cols["e_kp"][k] = kp_ref - kp_meas
         cols["compute_time"][k] = elapsed if measure_time else 0.0
         cols["clamp_flags"][k] = flags
-        if xi_log is not None and getattr(controller, "last_xi", None) is not None:
+        if xi_log is not None:
             xi_log[k] = controller.last_xi
         if on_step is not None:
             on_step(k, controller)
@@ -479,8 +484,9 @@ def compare_report(traces: Mapping[str, Sequence[SimTrace]],
     rows = []
     for label, runs in traces.items():
         for window in windows:
+            per_run = [window_tracking_stats(tr, window) for tr in runs]
             for signal in _SIGNALS:
-                stats = [window_tracking_stats(tr, window)[signal] for tr in runs]
+                stats = [s[signal] for s in per_run]
                 gammas = [s["gamma"] for s in stats]
                 rows.append(ReportRow(
                     label=label,

@@ -1,6 +1,12 @@
 """CLI subcommands, exit codes, and file-level workflows."""
 
+import os
+import select
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +65,11 @@ class TestSimulate:
         rc = main(["simulate", "--mode", "encrypted", "--profile", str(short_profile),
                    "--phi", str(workspace / "phi.csv"),
                    "--keys", str(workspace / "key.pub"), "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BAD_COMBINATION
+
+    def test_verbose_xi_needs_matrix_mode(self, short_profile, tmp_path):
+        rc = main(["simulate", "--mode", "original", "--profile", str(short_profile),
+                   "--warmup", "2", "--verbose-xi", "--out", str(tmp_path / "t.csv")])
         assert rc == EXIT_BAD_COMBINATION
 
     def test_missing_file_exit_code(self, tmp_path):
@@ -137,3 +148,52 @@ class TestServeIntegration:
             host, port = svc.address
             assert main(args + ["--connect", f"{host}:{port}", "--out", str(netted)]) == 0
         assert direct.read_bytes() == netted.read_bytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _serve(workspace, key_file, **popen_kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PAMENC_PORT", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "pamenc.cli", "serve", "--phi", str(workspace / "phi.csv"),
+         "--pubkey", str(workspace / key_file), "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen_kwargs)
+
+
+def _ignore_sigint():
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+class TestServeProcess:
+    @pytest.mark.parametrize("sig, popen_kwargs", [
+        (signal.SIGTERM, {}),
+        # a background job of a non-interactive shell starts with SIGINT ignored
+        (signal.SIGINT, {"preexec_fn": _ignore_sigint}),
+    ], ids=["sigterm", "sigint-ignored-at-start"])
+    def test_signal_stops_cleanly(self, workspace, sig, popen_kwargs):
+        proc = _serve(workspace, "key.pub", **popen_kwargs)
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+            assert ready, "no banner within 30 s"
+            assert proc.stdout.readline().startswith("controller service on ")
+            proc.send_signal(sig)
+            assert proc.wait(timeout=5.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
+    def test_secret_key_file_refused(self, workspace):
+        proc = _serve(workspace, "key.sec")
+        try:
+            _, err = proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == EXIT_BAD_COMBINATION
+        assert "secret exponent" in err

@@ -78,6 +78,15 @@ class TestKeygen:
 
         assert keys64.h == modexp(keys64.g, keys64.s, keys64.p)
 
+    def test_primality_against_trial_division_and_known_large(self):
+        naive = [n for n in range(3000) if n > 1 and all(n % d for d in range(2, n))]
+        assert [n for n in range(3000) if is_probable_prime(n)] == naive
+        # above the deterministic-base limit: Mersenne primes and known composites
+        for n in (2**89 - 1, 2**107 - 1, 2**127 - 1):
+            assert is_probable_prime(n)
+        for n in ((2**89 - 1) * (2**61 - 1), 2**128 + 1, (2**89 - 1) ** 2):
+            assert not is_probable_prime(n)
+
     def test_bit_floor(self):
         with pytest.raises(ValueError):
             keygen(bits=8)
@@ -96,6 +105,15 @@ class TestKeygen:
         bad = tmp_path / "bad.sec"
         bad.write_text(text)
         with pytest.raises(ValueError, match="inconsistent"):
+            load_keys(bad)
+
+    def test_key_file_secret_out_of_range(self, keys64, tmp_path):
+        # s + p - 1 still gives h = g^s, but decrypt's one power needs s <= p-2
+        _, sec = save_keys(tmp_path / "key", keys64)
+        text = sec.read_text().replace(f"{keys64.s:x}", f"{keys64.s + keys64.p - 1:x}")
+        bad = tmp_path / "bad.sec"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="0 < s < p-1"):
             load_keys(bad)
 
 
@@ -165,6 +183,14 @@ class TestElGamal:
         k = Drbg(42).randrange(1, keys64.p - 1)
         assert got == Ciphertext(pow(keys64.g, k, keys64.p),
                                  777 * pow(keys64.h, k, keys64.p) % keys64.p)
+
+    def test_one_power_matches_fermat_inverse(self, keys64):
+        # reference: c2 * (c1^s)^-1 with the inverse by Fermat, for any c1 including 0
+        p, s = keys64.p, keys64.s
+        rng = Drbg(14)
+        for c1 in [0, 1, p - 1, keys64.g] + [rng.randrange(0, p) for _ in range(200)]:
+            c2 = rng.randrange(1, p)
+            assert decrypt(Ciphertext(c1, c2), keys64) == c2 * pow(pow(c1, s, p), p - 2, p) % p
 
     def test_secret_required(self, keys64):
         ct = encrypt(5, keys64, Drbg(0))

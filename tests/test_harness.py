@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pamenc import harness
+from pamenc import crypto, harness
 from pamenc import (
     CANONICAL_WINDOWS,
     DEFAULT_GAINS,
@@ -149,6 +149,10 @@ class TestClosedLoop:
         assert trace.xi.shape == (100, 18)
         assert np.all(trace.xi[:, 15] == 1.0)
 
+    def test_verbose_xi_needs_matrix_controller(self, short_profile):
+        with pytest.raises(ValueError, match="record_xi"):
+            run_closed_loop("original", short_profile, warmup=2.0, record_xi=True)
+
     def test_approx_equals_encrypted_to_quantization(self, short_profile, phi, keys):
         ta = run_closed_loop("approx", short_profile, phi=phi, warmup=2.0)
         te = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0)
@@ -164,11 +168,33 @@ class TestClosedLoop:
         assert np.array_equal(a["u1"], b["u1"])
         assert np.array_equal(a["theta_deg"], b["theta_deg"])
 
-    def test_networked_session_matches_in_process(self, short_profile, phi, keys):
+    def test_default_nonces_are_fresh(self, short_profile, phi, keys, monkeypatch):
+        first_c1 = []
+
+        def recording_enc_vector(*args):
+            out = crypto.enc_vector(*args)
+            first_c1.append(out[0].c1)
+            return out
+
+        monkeypatch.setattr(harness, "enc_vector", recording_enc_vector)
+        a = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0)
+        b = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0)
+        n = len(a)
+        assert len(first_c1) == 2 * n
+        assert first_c1[0] != first_c1[n]  # a repeated nonce reveals plaintext ratios
+        for col in a.columns:
+            assert np.array_equal(a[col], b[col])
+
+    def test_networked_session_matches_in_process(self, short_profile, phi, keys, monkeypatch):
         enc = EncodingParams()
         enc_phi = enc_matrix(phi, enc, keys, Drbg(40))
         in_proc = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
                                   nonce_seed=9, warmup=2.0)
+
+        def no_device_enc_phi(*args):
+            raise AssertionError("the service holds Enc(Phi); the device needs none")
+
+        monkeypatch.setattr(harness, "enc_matrix", no_device_enc_phi)
         with ControllerService(enc_phi, keys.p) as svc:
             with DeviceSession(svc.address, timeout=2.0) as dev:
                 net = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
