@@ -2,7 +2,8 @@
 
 Subcommands: keygen, fit, build-phi, simulate, serve, evaluate, compare.
 Exit codes: 0 success, 2 usage error (argparse), 3 missing/unreadable file,
-4 invalid option combination, 5 runtime failure.
+4 invalid option combination, 5 runtime failure (including a timeout, a
+closed connection or a protocol error on the network path).
 
 Environment overrides: PAMENC_OUT_DIR prefixes relative output paths,
 PAMENC_PORT overrides the service port.
@@ -18,6 +19,7 @@ import time
 from pathlib import Path
 
 from . import crypto, harness, params, polyctrl, polyfit
+from .protocol import ProtocolError
 from .service import DEFAULT_TIMEOUT, ControllerService, DeviceSession
 
 EXIT_OK = 0
@@ -118,6 +120,8 @@ def _phi_for_run(args, pam, gains):
 def cmd_simulate(args) -> int:
     if args.verbose_xi and args.mode == "original":
         raise BadCombinationError("--verbose-xi needs --mode approx or encrypted")
+    if args.connect and args.mode != "encrypted":
+        raise BadCombinationError("--connect needs --mode encrypted")
     pam = _load_pam(args)
     plant = _load_plant(args, pam)
     gains = _load_gains(args, default="surrogate")
@@ -137,7 +141,7 @@ def cmd_simulate(args) -> int:
 
     session = None
     try:
-        if args.mode == "encrypted" and args.connect:
+        if args.connect:
             host, _, port = args.connect.rpartition(":")
             port = int(os.environ.get("PAMENC_PORT", port))
             session = DeviceSession((host or "127.0.0.1", port), timeout=args.net_timeout)
@@ -312,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except BadCombinationError as exc:
         print(f"pamenc: {exc}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, ProtocolError) as exc:
         print(f"pamenc: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -379,8 +379,12 @@ def load_keys(path: str | Path) -> ElGamalKeys:
     if missing:
         raise ValueError(f"key file missing fields {sorted(missing)}")
     keys = ElGamalKeys(p=fields["p"], g=fields["g"], h=fields["h"], s=fields.get("s"))
+    if not (is_probable_prime(keys.p) and is_probable_prime(keys.p // 2)):
+        raise ValueError("p is not a safe prime p = 2q+1")
     if not 1 < keys.g < keys.p:
         raise ValueError("generator out of range")
+    if not 1 < keys.h < keys.p:
+        raise ValueError("public element h out of range: need 1 < h < p")
     if keys.s is not None and not (0 < keys.s < keys.p - 1 and pow(keys.g, keys.s, keys.p) == keys.h):
         raise ValueError("inconsistent key file: need 0 < s < p-1 and h = g^s mod p")
     return keys

@@ -83,9 +83,9 @@ class ReferenceProfile:
         raise ValueError(f"t={t} outside profile horizon")
 
 
-def _three_segments(specs: Sequence[tuple[float, float]], seg_len: float = 15.0) -> ReferenceProfile:
+def _three_segments(specs: Sequence[tuple[float, float]]) -> ReferenceProfile:
     return ReferenceProfile(tuple(
-        (i * seg_len, (i + 1) * seg_len, th, kp) for i, (th, kp) in enumerate(specs)
+        (i * 15.0, (i + 1) * 15.0, th, kp) for i, (th, kp) in enumerate(specs)
     ))
 
 

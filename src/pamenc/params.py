@@ -107,20 +107,19 @@ class Gains:
                 raise ValueError("gains must be finite")
 
 
-def estimator_from_force(r: float, L0: float, fc: MuscleCoeffs, muscle: int,
-                         slope: float = SIN_FIT_SLOPE) -> MuscleCoeffs:
+def estimator_from_force(r: float, L0: float, fc: MuscleCoeffs, muscle: int) -> MuscleCoeffs:
     """Angle-based estimator coefficients induced by a length-based force map.
 
-    Substitutes l = L0 -/+ r*slope*theta into (a1*l + a2)*P + b1*l + b2.
-    With slope=1 this is the Taylor linearization; the default slope is the
-    least-squares fit of sin over the operating range, which keeps the
-    residual torque bias gradient below the angle-loop restoring gain.
+    Substitutes l = L0 -/+ r*k*theta into (a1*l + a2)*P + b1*l + b2, with
+    k = SIN_FIT_SLOPE, the least-squares fit of sin over the operating range
+    (k = 1 would be the Taylor linearization). It keeps the residual torque
+    bias gradient below the angle-loop restoring gain.
     """
     sgn = -1.0 if muscle == 0 else 1.0
     return MuscleCoeffs(
-        a1=sgn * fc.a1 * r * slope,
+        a1=sgn * fc.a1 * r * SIN_FIT_SLOPE,
         a2=fc.a1 * L0 + fc.a2,
-        b1=sgn * fc.b1 * r * slope,
+        b1=sgn * fc.b1 * r * SIN_FIT_SLOPE,
         b2=fc.b1 * L0 + fc.b2,
     )
 

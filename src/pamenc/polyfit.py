@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -70,8 +70,8 @@ def eval_monomial(m: Monomial, theta, kp, p1, p2):
 
 
 # Candidate monomials per target (intercept handled separately). These are
-# exactly the supported slots plus the removed small term of f3; wider sets
-# are allowed but surviving terms must map onto a w-slot.
+# exactly the supported slots plus the small term of f3 that pruning removes;
+# every surviving term must map onto a w-slot.
 DEFAULT_CANDIDATES: dict[int, tuple[Monomial, ...]] = {
     1: ((0, 1, 0, 0), (2, 1, 0, 0)),
     2: ((1, 0, 0, 0), (2, 0, 0, 0)),
@@ -108,10 +108,8 @@ _TARGET_AXES = {1: ("theta", "kp"), 2: ("theta",), 3: ("theta", "p1"), 4: ("thet
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Candidate monomials per target plus the sampling box and grid density."""
+    """Sampling box and grid density; the candidates are `DEFAULT_CANDIDATES`."""
 
-    monomials: dict[int, tuple[Monomial, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_CANDIDATES))
     theta_range: tuple[float, float] = (-math.radians(25.0), math.radians(25.0))
     kp_range: tuple[float, float] = (4.0, 9.0)
     p_range: tuple[float, float] = (200.0, 750.0)
@@ -122,11 +120,6 @@ class FeatureSpec:
             raise ValueError("grid density must be >= 2 per axis")
         if self.theta_range[0] <= -math.pi / 2 or self.theta_range[1] >= math.pi / 2:
             raise ValueError("theta box touches the cos(theta) singularity")
-        for target in range(1, 6):
-            need = {m for (t, m) in W_SLOTS if t == target and m != CONSTANT}
-            have = set(self.monomials.get(target, ()))
-            if not need <= have:
-                raise ValueError(f"target f{target} candidates must cover the base support")
 
 
 def sample_grid(spec: FeatureSpec, params: PamParams) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -175,13 +168,17 @@ def soft_threshold(rho: float, lam: float) -> float:
     return math.copysign(max(abs(rho) - lam, 0.0), rho)
 
 
-def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float, *, tol: float = 1e-10,
-              max_sweeps: int = 100_000) -> LassoFit:
+_LASSO_TOL = 1e-10
+_LASSO_MAX_SWEEPS = 100_000
+
+
+def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
     """Coordinate descent for (1/2n)||y - b - Xw||^2 + lam*||w||_1.
 
     Features are standardized internally (the intercept is unpenalized);
     returned coefficients are on the original scale. Convergence is a max
-    standardized-coordinate update below `tol`.
+    standardized-coordinate update below `_LASSO_TOL`, within
+    `_LASSO_MAX_SWEEPS` sweeps.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -200,7 +197,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float, *, tol: float = 1e-10,
     resid = yc.copy()
     sweeps = 0
     converged = False
-    while sweeps < max_sweeps:
+    while sweeps < _LASSO_MAX_SWEEPS:
         sweeps += 1
         max_delta = 0.0
         for j in range(d):
@@ -212,7 +209,7 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float, *, tol: float = 1e-10,
                 resid -= delta * xj
                 w[j] = w_new
             max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
+        if max_delta < _LASSO_TOL:
             converged = True
             break
 
@@ -324,7 +321,7 @@ def fit_controller_coeffs(params: PamParams, spec: FeatureSpec | None = None,
 
     for target in range(1, 6):
         inp, y = data[target]
-        monos = spec.monomials[target]
+        monos = DEFAULT_CANDIDATES[target]
         X = np.column_stack([eval_monomial(m, *inp.T) for m in monos])
         fit = lasso_fit(X, y, lam)
         sweeps[target] = fit.sweeps
@@ -353,7 +350,7 @@ def fit_controller_coeffs(params: PamParams, spec: FeatureSpec | None = None,
             if slot is None:
                 raise ValueError(
                     f"f{target}: surviving term {monomial_name(mono)} has no slot in the "
-                    "matrix-vector controller; prune harder or adjust candidates")
+                    "matrix-vector controller; prune harder")
             w[slot - 1] = float(val)
 
         # fit-quality metrics on interior grid points

@@ -12,9 +12,11 @@ Payloads:
     EVAL_RESPONSE: 2-byte count, then `count` ciphertexts (row-major 5x18)
     ERROR        : 1-byte code, 2-byte message length, UTF-8 message
 
-A ciphertext is two length-prefixed magnitude byte strings (2-byte length
-each, minimal big-endian magnitude) for c1 and c2. Group elements are >= 1,
-so magnitudes are never empty.
+A ciphertext is c1 then c2, each a big-endian integer of one width shared
+by the whole payload: the narrowest that holds the payload's largest
+integer. The receiver gets the width from the payload length, so one length
+check validates the payload. With a 64-bit key a request frame is 297 bytes
+and a reply about 1449 bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import struct
 
 from .crypto import Ciphertext
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MSG_EVAL_REQUEST = 0x01
 MSG_EVAL_RESPONSE = 0x02
@@ -57,37 +59,10 @@ class ProtocolError(Exception):
         self.reason = reason
 
 
-def encode_magnitude(x: int) -> bytes:
-    if x <= 0:
-        raise ValueError("magnitudes must be positive")
-    return x.to_bytes((x.bit_length() + 7) // 8, "big")
-
-
 def pack_ciphertexts(cts: list[Ciphertext]) -> bytes:
-    parts = []
-    for ct in cts:
-        for half in (ct.c1, ct.c2):
-            mag = encode_magnitude(half)
-            parts.append(struct.pack(">H", len(mag)))
-            parts.append(mag)
-    return b"".join(parts)
-
-
-def unpack_ciphertexts(payload: bytes, offset: int, count: int) -> tuple[list[Ciphertext], int]:
-    cts = []
-    for _ in range(count):
-        halves = []
-        for _ in range(2):
-            if offset + 2 > len(payload):
-                raise ProtocolError(ERR_MALFORMED, "truncated ciphertext length prefix")
-            (n,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
-            if n == 0 or offset + n > len(payload):
-                raise ProtocolError(ERR_MALFORMED, "truncated ciphertext magnitude")
-            halves.append(int.from_bytes(payload[offset:offset + n], "big"))
-            offset += n
-        cts.append(Ciphertext(*halves))
-    return cts, offset
+    halves = [half for ct in cts for half in (ct.c1, ct.c2)]
+    width = (max(halves, default=1).bit_length() + 7) // 8
+    return b"".join(half.to_bytes(width, "big") for half in halves)
 
 
 def pack_frame(msg_type: int, payload: bytes, version: int = PROTOCOL_VERSION) -> bytes:
@@ -114,10 +89,12 @@ def parse_counted_ciphertexts(payload: bytes, expected: int) -> list[Ciphertext]
     (count,) = struct.unpack_from(">H", payload, 0)
     if count != expected:
         raise ProtocolError(ERR_COUNT, f"expected {expected} ciphertexts, got {count}")
-    cts, offset = unpack_ciphertexts(payload, 2, count)
-    if offset != len(payload):
-        raise ProtocolError(ERR_MALFORMED, "trailing bytes after ciphertexts")
-    return cts
+    width, extra = divmod(len(payload) - 2, 2 * count)
+    if extra or not width:
+        raise ProtocolError(ERR_MALFORMED, f"{len(payload) - 2} bytes do not hold "
+                                           f"{count} ciphertexts of one width")
+    ints = [int.from_bytes(payload[i:i + width], "big") for i in range(2, len(payload), width)]
+    return [Ciphertext(c1, c2) for c1, c2 in zip(ints[::2], ints[1::2])]
 
 
 def parse_error(payload: bytes) -> ProtocolError:
@@ -134,7 +111,7 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
     while got < n:
         chunk = sock.recv(n - got)
         if not chunk:
-            raise EOFError("peer closed the connection")
+            raise ConnectionError("peer closed the connection")
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)

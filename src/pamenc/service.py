@@ -75,7 +75,7 @@ class ControllerService:
             while not self._stop.is_set():
                 try:
                     msg_type, version, payload = protocol.read_frame(conn)
-                except (EOFError, ConnectionError, OSError):
+                except OSError:
                     return
                 except ProtocolError as exc:
                     self._send_error(conn, exc.code, exc.reason)
@@ -141,19 +141,27 @@ class DeviceSession:
         self._sock.settimeout(timeout)
 
     def eval(self, enc_xi: list[Ciphertext]) -> list[list[Ciphertext]]:
-        """One round trip; returns the 5x18 product ciphertext matrix."""
-        self._sock.sendall(protocol.pack_eval_request(enc_xi))
+        """One round trip; returns the 5x18 product ciphertext matrix.
+
+        Any failure closes the session, so a late reply can never be read
+        as the answer to a later request; a later call raises OSError.
+        """
         try:
-            msg_type, version, payload = protocol.read_frame(self._sock)
-        except socket.timeout:
-            raise TimeoutError("controller service response deadline exceeded") from None
-        if msg_type == MSG_ERROR:
-            raise protocol.parse_error(payload)
-        if version != PROTOCOL_VERSION:
-            raise ProtocolError(ERR_VERSION, f"device speaks {PROTOCOL_VERSION}, got {version}")
-        if msg_type != MSG_EVAL_RESPONSE:
-            raise ProtocolError(ERR_MALFORMED, f"unexpected message type {msg_type:#x}")
-        flat = protocol.parse_counted_ciphertexts(payload, protocol.RESPONSE_COUNT)
+            self._sock.sendall(protocol.pack_eval_request(enc_xi))
+            try:
+                msg_type, version, payload = protocol.read_frame(self._sock)
+            except socket.timeout:
+                raise TimeoutError("controller service response deadline exceeded") from None
+            if msg_type == MSG_ERROR:
+                raise protocol.parse_error(payload)
+            if version != PROTOCOL_VERSION:
+                raise ProtocolError(ERR_VERSION, f"device speaks {PROTOCOL_VERSION}, got {version}")
+            if msg_type != MSG_EVAL_RESPONSE:
+                raise ProtocolError(ERR_MALFORMED, f"unexpected message type {msg_type:#x}")
+            flat = protocol.parse_counted_ciphertexts(payload, protocol.RESPONSE_COUNT)
+        except BaseException:
+            self.close()
+            raise
         return [flat[i * 18:(i + 1) * 18] for i in range(5)]
 
     def close(self) -> None:

@@ -3,6 +3,7 @@
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from pamenc import SimTrace, load_keys, load_phi
-from pamenc.cli import EXIT_BAD_COMBINATION, EXIT_MISSING_FILE, main
+from pamenc.cli import EXIT_BAD_COMBINATION, EXIT_MISSING_FILE, EXIT_RUNTIME, main
 
 
 @pytest.fixture()
@@ -131,6 +132,14 @@ class TestEvaluateCompare:
         assert rc == EXIT_BAD_COMBINATION
 
 
+def _simulate_connected(workspace, profile, tmp_path, address):
+    host, port = address
+    return main(["simulate", "--mode", "encrypted", "--profile", str(profile),
+                 "--phi", str(workspace / "phi.csv"), "--keys", str(workspace / "key.sec"),
+                 "--warmup", "2", "--net-timeout", "2.0", "--connect", f"{host}:{port}",
+                 "--out", str(tmp_path / "t.csv")])
+
+
 class TestServeIntegration:
     def test_simulate_through_service(self, workspace, short_profile, tmp_path):
         from pamenc import ControllerService, Drbg, EncodingParams, enc_matrix
@@ -148,6 +157,42 @@ class TestServeIntegration:
             host, port = svc.address
             assert main(args + ["--connect", f"{host}:{port}", "--out", str(netted)]) == 0
         assert direct.read_bytes() == netted.read_bytes()
+
+    def test_connect_needs_encrypted_mode(self, workspace, short_profile, tmp_path):
+        rc = main(["simulate", "--mode", "approx", "--profile", str(short_profile),
+                   "--phi", str(workspace / "phi.csv"), "--warmup", "2",
+                   "--connect", "127.0.0.1:9", "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_BAD_COMBINATION
+
+    def test_protocol_error_exits_runtime(self, workspace, short_profile, tmp_path, capsys):
+        from pamenc import ControllerService, Drbg, EncodingParams, enc_matrix
+
+        # four rows of Enc(Phi): each reply holds 72 products, not 90
+        keys = load_keys(workspace / "key.sec")
+        enc_phi = enc_matrix(load_phi(workspace / "phi.csv")[:4], EncodingParams(), keys,
+                             Drbg(None))
+        with ControllerService(enc_phi, keys.p) as svc:
+            rc = _simulate_connected(workspace, short_profile, tmp_path, svc.address)
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "expected 90 ciphertexts, got 72" in err and len(err.splitlines()) == 1
+
+    def test_closed_connection_exits_runtime(self, workspace, short_profile, tmp_path):
+        # a peer that accepts and hangs up at once
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def hang_up():
+            conn, _ = listener.accept()
+            conn.close()
+
+        thread = threading.Thread(target=hang_up, daemon=True)
+        thread.start()
+        try:
+            rc = _simulate_connected(workspace, short_profile, tmp_path, listener.getsockname())
+        finally:
+            listener.close()
+            thread.join(timeout=2.0)
+        assert rc == EXIT_RUNTIME
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

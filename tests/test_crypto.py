@@ -116,6 +116,22 @@ class TestKeygen:
         with pytest.raises(ValueError, match="0 < s < p-1"):
             load_keys(bad)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("p", 2**62 + 1, "safe prime"),  # composite
+        ("p", 2**61 - 1, "safe prime"),  # prime, but (p-1)/2 is not
+        ("h", 0, "h out of range"),
+        ("h", 1, "h out of range"),
+    ], ids=["composite-p", "unsafe-prime-p", "h-0", "h-1"])
+    def test_public_key_file_malformed(self, keys64, tmp_path, field, value, match):
+        # serve reads only the .pub file, so its public part must be checked on its own
+        pub, _ = save_keys(tmp_path / "key", keys64)
+        text = pub.read_text().replace(f"{field} = {getattr(keys64, field):x}",
+                                       f"{field} = {value:x}")
+        bad = tmp_path / "bad.pub"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_keys(bad)
+
 
 class TestEncodeDecode:
     def test_unit_value(self, keys64):

@@ -59,10 +59,12 @@ def service(enc_phi, keys):
 
 class TestFraming:
     def test_ciphertext_roundtrip(self):
-        cts = [Ciphertext(1, 2), Ciphertext(2**63 - 1, 12345678901234567)]
-        packed = protocol.pack_ciphertexts(cts)
-        got, offset = protocol.unpack_ciphertexts(packed, 0, 2)
-        assert got == cts and offset == len(packed)
+        # mixed widths: every integer takes the width of the largest, here 9 bytes
+        cts = [Ciphertext(1, 2), Ciphertext(2**63 - 1, 12345678901234567),
+               Ciphertext(255, 2**64 + 1)]
+        payload = struct.pack(">H", 3) + protocol.pack_ciphertexts(cts)
+        assert len(payload) == 2 + 3 * 2 * 9
+        assert protocol.parse_counted_ciphertexts(payload, 3) == cts
 
     def test_frame_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
@@ -76,14 +78,16 @@ class TestFraming:
             a.close()
             b.close()
 
-    def test_magnitudes_must_be_positive(self):
-        with pytest.raises(ValueError):
-            protocol.encode_magnitude(0)
-
     def test_truncated_payload_rejected(self):
         payload = struct.pack(">H", 2) + protocol.pack_ciphertexts([Ciphertext(5, 9)])
         with pytest.raises(ProtocolError) as err:
             protocol.parse_counted_ciphertexts(payload, 2)
+        assert err.value.code == ERR_MALFORMED
+
+    def test_trailing_byte_rejected(self):
+        payload = struct.pack(">H", 2) + protocol.pack_ciphertexts([Ciphertext(5, 9)] * 2)
+        with pytest.raises(ProtocolError) as err:
+            protocol.parse_counted_ciphertexts(payload + b"\x00", 2)
         assert err.value.code == ERR_MALFORMED
 
     def test_count_mismatch_rejected(self):
@@ -187,6 +191,44 @@ class TestService:
             with pytest.raises(ProtocolError) as err:
                 dev.eval(enc_xi)
             assert err.value.code == ERR_COUNT
+
+    def test_late_reply_closes_the_session(self):
+        # a fake service answers request 1 after the deadline, then request 2 on time
+        listener = socket.create_server(("127.0.0.1", 0))
+        late_reply_sent = threading.Event()
+
+        def fake_service():
+            conn, _ = listener.accept()
+            with conn:
+                for k in (1, 2):
+                    try:
+                        protocol.read_frame(conn)
+                    except OSError:
+                        return
+                    if k == 1:
+                        time.sleep(0.3)
+                    try:
+                        conn.sendall(protocol.pack_eval_response([Ciphertext(k, k)] * 90))
+                    except OSError:
+                        return
+                    finally:
+                        late_reply_sent.set()
+
+        thread = threading.Thread(target=fake_service, daemon=True)
+        thread.start()
+        enc_xi = [Ciphertext(5, 9)] * 18
+        try:
+            with DeviceSession(listener.getsockname(), timeout=0.1) as dev:
+                with pytest.raises(TimeoutError):
+                    dev.eval(enc_xi)
+                assert late_reply_sent.wait(2.0)
+                # an open session would now return the products tagged for request 1
+                with pytest.raises(OSError) as err:
+                    dev.eval(enc_xi)
+                assert not isinstance(err.value, TimeoutError)
+        finally:
+            listener.close()
+            thread.join(timeout=2.0)
 
     def test_service_survives_bad_clients(self, service, enc_phi, keys):
         # a crashing client must not leak the listener or wedge later sessions
