@@ -3,7 +3,8 @@
 Subcommands: keygen, fit, build-phi, simulate, serve, evaluate, compare.
 Exit codes: 0 success, 2 usage error (argparse), 3 missing/unreadable file,
 4 invalid option combination, 5 runtime failure (including a timeout, a
-closed connection or a protocol error on the network path).
+closed connection, a protocol error or a reply that fails the device's
+integrity check on the network path).
 
 Environment overrides: PAMENC_OUT_DIR prefixes relative output paths,
 PAMENC_PORT overrides the service port.
@@ -17,6 +18,8 @@ import signal
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import crypto, harness, params, polyctrl, polyfit
 from .protocol import ProtocolError
@@ -160,8 +163,14 @@ def cmd_simulate(args) -> int:
 
     trace.to_csv(_out_path(args.out))
     if args.measure_time:
-        ct = trace["compute_time"]
-        print(f"compute time per step: mean {ct.mean()*1e3:.3f} ms, worst {ct.max()*1e3:.3f} ms")
+        ct = trace["compute_time"] * 1e3
+        overruns = int(np.count_nonzero(trace["clamp_flags"].astype(int)
+                                        & harness.FLAG_DEADLINE_OVERRUN))
+        p50, p99 = np.percentile(ct, [50, 99])
+        print(f"online step: p50 {p50:.3f} ms, p99 {p99:.3f} ms, max {ct.max():.3f} ms; "
+              f"{overruns} deadline overruns (flag 16)")
+        if args.mode == "encrypted":
+            print(f"offline refill: mean {trace.offline_time / len(trace) * 1e3:.3f} ms per step")
     print(f"wrote {_out_path(args.out)} ({len(trace)} steps)")
     return EXIT_OK
 

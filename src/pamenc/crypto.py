@@ -5,7 +5,14 @@ values embedded as centered representatives in (-p/2, p/2). Zero cannot be
 represented multiplicatively, so it encodes as 1 (value 1/delta after
 decoding). One controller step encrypts the 18 xi entries, multiplies them
 elementwise against Enc(Phi), and decrypts/decodes the 90 products before
-summing rows in plaintext (Dec+); each decryption is one modular power.
+summing rows in plaintext (Dec+).
+
+A step needs no modular power once its nonces are drawn ahead. Each xi_j
+takes a pad (g^k, h^k, h^-k) drawn between steps (`draw_pads`), so
+encrypting it is one multiplication. Every product has c1 = c1(Phi_ij) g^k,
+so c1(Phi_ij)^-s is fixed for the session: `PhiMasks` learns it from the
+first reply, after which a product decrypts in two multiplications and its
+c1 is checked against c1(Phi_ij) g^k.
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -54,7 +61,8 @@ class Drbg:
             self._state = None
         else:
             if isinstance(seed, int):
-                seed = seed.to_bytes(32, "big", signed=False) if seed >= 0 else str(seed).encode()
+                seed = (seed.to_bytes(max(32, (seed.bit_length() + 7) // 8), "big")
+                        if seed >= 0 else str(seed).encode())
             self._state = hashlib.sha256(b"pamenc-drbg:" + seed).digest()
             self._counter = 0
 
@@ -296,9 +304,37 @@ def find_session_key(phi, params: EncodingParams | None = None, bits: int = 64,
     raise KeygenError(f"no guard-passing {bits}-bit key in {_SESSION_KEY_TRIES} attempts")
 
 
-def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg) -> list[Ciphertext]:
-    """Encode-then-encrypt a sequence of reals."""
-    return [encrypt(encode(float(v), delta, keys.p), keys, rng) for v in values]
+class Pad(NamedTuple):
+    """One nonce k drawn ahead: g^k, h^k and h^-k mod p."""
+
+    g_k: int
+    h_k: int
+    h_inv_k: int
+
+
+def draw_pads(n: int, keys: ElGamalKeys, rng: Drbg) -> list[Pad]:
+    """n pads, one nonce each from `rng` in the order `enc_vector` draws them."""
+    p = keys.p
+    pads = []
+    for _ in range(n):
+        k = rng.randrange(1, p - 1)
+        h_k = pow(keys.h, k, p)
+        pads.append(Pad(pow(keys.g, k, p), h_k, pow(h_k, -1, p)))
+    return pads
+
+
+def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg | None = None, *,
+               pads: list[Pad] | None = None) -> list[Ciphertext]:
+    """Encode-then-encrypt a sequence of reals.
+
+    Each entry takes a fresh nonce from `rng`, or with `pads` the nonce of
+    its pad: (g^k, m h^k), one multiplication and no power.
+    """
+    if pads is None:
+        return [encrypt(encode(float(v), delta, keys.p), keys, rng) for v in values]
+    p = keys.p
+    return [Ciphertext(pad.g_k, encode(float(v), delta, p) * pad.h_k % p)
+            for v, pad in zip(values, pads, strict=True)]
 
 
 def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys, rng: Drbg) -> list[list[Ciphertext]]:
@@ -318,8 +354,44 @@ class DecodeOverflowError(RuntimeError):
     pass
 
 
+class ReplyIntegrityError(RuntimeError):
+    """A product's c1 is not c1(Phi_ij) g^k: the reply was altered or replayed."""
+
+
+class PhiMasks:
+    """What Dec+ learns from a session's first reply, to decrypt later ones without a power.
+
+    Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
+    and c1^-s = mask_ij h^-k with mask_ij = c1(Phi_ij)^-s, both fixed for the
+    session. `learn` derives the two 5x18 tables from one reply and its pads
+    (90 powers, 18 inverses); `check` holds a later reply to them.
+    """
+
+    def __init__(self):
+        self.c1_phi: list[list[int]] | None = None
+        self.mask: list[list[int]] | None = None
+
+    def learn(self, products: list[list[Ciphertext]], pads: list[Pad], keys: ElGamalKeys) -> None:
+        p, e = keys.p, keys.p - 1 - keys.s
+        g_inv_k = [pow(pad.g_k, -1, p) for pad in pads]
+        self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
+                       for row in products]
+        self.mask = [[pow(ct.c1, e, p) * pad.h_k % p for ct, pad in zip(row, pads, strict=True)]
+                     for row in products]
+
+    def check(self, products: list[list[Ciphertext]], pads: list[Pad], p: int) -> None:
+        """Raise ReplyIntegrityError unless every c1 is c1(Phi_ij) times this step's g^k."""
+        for i, (row, c1_row) in enumerate(zip(products, self.c1_phi, strict=True)):
+            for j, (ct, c1_phi, pad) in enumerate(zip(row, c1_row, pads, strict=True)):
+                if ct.c1 != c1_phi * pad.g_k % p:
+                    raise ReplyIntegrityError(
+                        f"product ({i+1},{j+1}): c1 is not Enc(Phi)'s c1 times this step's "
+                        f"g^k; the reply was altered or replayed")
+
+
 def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
-             keys: ElGamalKeys, bounds=None, zero_mask=None) -> list[float]:
+             keys: ElGamalKeys, bounds=None, zero_mask=None, *,
+             pads: list[Pad] | None = None, masks: PhiMasks | None = None) -> list[float]:
     """Decrypt and decode every product, then sum each row in plaintext.
 
     Summation is left-to-right by column index for determinism. When the
@@ -329,24 +401,41 @@ def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
 
     `zero_mask[i][j]` marks matrix entries that are exactly zero but were
     encoded as the 1-substitute (the group cannot represent zero). Their
-    true contribution is zero, so their placeholder products are discarded
-    after decryption. Without this the substitution residue (xi_j/delta_phi
-    per zero entry) accumulates through the integrator state rows into a
+    true contribution is zero, so their products are skipped before
+    decryption. Without this the substitution residue (xi_j/delta_phi per
+    zero entry) accumulates through the integrator state rows into a
     standing tracking offset. The mask is device-side knowledge: the device
     holds the secret key and assembled Enc(Phi) in the first place.
+
+    With the `pads` the step's xi was encrypted with, and the session's
+    `masks`, a product decrypts as c2 mask_ij h^-k: two multiplications. The
+    first such call learns the masks; every later one first checks each
+    product's c1 (ReplyIntegrityError). The result is the same either way.
     """
+    if keys.s is None:
+        raise ValueError("secret exponent required for decryption")
+    p = keys.p
+    if pads is not None:
+        if masks.mask is None:
+            masks.learn(products, pads, keys)
+        else:
+            masks.check(products, pads, p)
     combined = params.delta_xi * params.delta_phi
     psi = []
     for i, row in enumerate(products):
         total = 0.0
         for j, ct in enumerate(row):
-            val = decode(decrypt(ct, keys), combined, keys.p)
+            if zero_mask is not None and zero_mask[i][j]:
+                continue
+            if pads is None:
+                m = decrypt(ct, keys)
+            else:
+                m = ct.c2 * masks.mask[i][j] * pads[j].h_inv_k % p
+            val = decode(m, combined, p)
             if bounds is not None and abs(val) > bounds[i][j] * (1.0 + 1e-12):
                 raise DecodeOverflowError(
                     f"decoded product ({i+1},{j+1}) = {val!r} exceeds its bound "
                     f"{bounds[i][j]!r}; check delta/key-size configuration")
-            if zero_mask is not None and zero_mask[i][j]:
-                continue
             total += val
         psi.append(total)
     return psi

@@ -25,8 +25,11 @@ from .crypto import (
     Drbg,
     ElGamalKeys,
     EncodingParams,
+    Pad,
+    PhiMasks,
     check_overflow_guard,
     dec_plus,
+    draw_pads,
     enc_eval,
     enc_matrix,
     enc_vector,
@@ -132,6 +135,7 @@ class SimTrace:
 
     columns: dict[str, np.ndarray]
     xi: np.ndarray | None = None  # (n, 18) when recorded
+    offline_time: float = 0.0  # seconds of work between steps (measure_time); not in the CSV
 
     def __len__(self) -> int:
         return len(self.columns["time"])
@@ -226,6 +230,14 @@ class EncryptedController(MatrixController):
     with Dec+. The fixed-point scale is `EncodingParams()`, the same one the
     service's Enc(Phi) is built with. `last_plain_psi` carries the plaintext
     Phi xi value evaluated on the same xi for paired comparisons.
+
+    The modular powers run offline. `refill`, called between steps, draws
+    the next step's 18 nonce pads (36 powers, 18 inverses); a step that
+    finds none draws them itself, and no pad serves two steps. Online,
+    encrypting is one multiplication per entry and Dec+ two per product,
+    with the masks learned from the first reply (`crypto.PhiMasks`, the
+    same in both modes); that first reply is decrypted with powers. A later
+    reply whose c1 does not match raises `crypto.ReplyIntegrityError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -236,26 +248,37 @@ class EncryptedController(MatrixController):
         super().__init__(phi)
         self.keys = keys
         self.encoding = EncodingParams()
-        self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p)
-        self.zero_mask = self.phi == 0.0
+        # lists, not arrays: Dec+ reads them one entry at a time
+        self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p).tolist()
+        self.zero_mask = (self.phi == 0.0).tolist()
         self.rng = Drbg(nonce_seed)
         self.session = session
         self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng)
                         if session is None else None)  # else the service holds Enc(Phi)
+        self.masks = PhiMasks()
+        self._pads: list[Pad] | None = None  # the next step's, until it takes them
         self.last_plain_psi: np.ndarray | None = None
+
+    def refill(self) -> None:
+        """Offline work: draw the next step's nonce pads unless unused ones wait."""
+        if self._pads is None:
+            self._pads = draw_pads(18, self.keys, self.rng)
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
         for j, (v, bound) in enumerate(zip(xi, self.encoding.xi_bounds)):
             if abs(v) > bound:
                 raise OverflowError(
                     f"xi_{j+1} = {v!r} exceeds its declared bound {bound!r}")
-        enc_xi = enc_vector(xi, self.encoding.delta_xi, self.keys, self.rng)
+        if self._pads is None:  # no refill since the last step
+            self.refill()
+        pads, self._pads = self._pads, None  # no pad serves two steps
+        enc_xi = enc_vector(xi, self.encoding.delta_xi, self.keys, pads=pads)
         if self.session is not None:
             products = self.session.eval(enc_xi)
         else:
             products = enc_eval(self.enc_phi, enc_xi, self.keys.p)
         psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds,
-                                self.zero_mask))
+                                self.zero_mask, pads=pads, masks=self.masks))
         self.last_plain_psi = poly_step(self.phi, xi)
         return psi
 
@@ -302,6 +325,9 @@ def run_closed_loop(
     control phase (step k=0 is the first controller invocation). Per-step
     compute time covers the controller call only and is written as 0.0
     unless `measure_time` is set, keeping default traces byte-reproducible.
+    An encrypted controller's offline refill runs before each step's sensor
+    sample, outside that time; with `measure_time` its total is the trace's
+    `offline_time`.
     Nonces are OS-random unless `nonce_seed` is set (the trace is the same
     either way: decryption is exact); `record_xi` needs approx or encrypted.
     """
@@ -311,6 +337,8 @@ def run_closed_loop(
     n_steps = int(round(profile.duration / ts))
     controller = make_controller(mode, pam=pam, gains=gains, phi=phi, keys=keys,
                                  nonce_seed=nonce_seed, session=session)
+    encrypted = isinstance(controller, EncryptedController)
+    offline_time = 0.0
 
     state = PlantState()
     sub_dt = ts / plant.substeps
@@ -323,6 +351,10 @@ def run_closed_loop(
     xi_log = np.zeros((n_steps, 18)) if record_xi else None
 
     for k in range(n_steps):
+        if encrypted:  # offline work: after the previous step, before this sensor sample
+            t0 = time.perf_counter()
+            controller.refill()
+            offline_time += time.perf_counter() - t0
         t = k * ts
         th_ref_deg, kp_ref = profile.lookup(t)
 
@@ -380,7 +412,8 @@ def run_closed_loop(
         if on_step is not None:
             on_step(k, controller)
 
-    return SimTrace(columns=cols, xi=xi_log)
+    return SimTrace(columns=cols, xi=xi_log,
+                    offline_time=offline_time if measure_time else 0.0)
 
 
 def l2_score(z: Sequence[float], z_ref: Sequence[float], window: MetricWindow) -> float:

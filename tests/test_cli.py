@@ -92,6 +92,19 @@ class TestSimulate:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_measure_time_summary(self, workspace, short_profile, tmp_path, capsys):
+        args = ["simulate", "--mode", "encrypted", "--profile", str(short_profile),
+                "--phi", str(workspace / "phi.csv"), "--keys", str(workspace / "key.sec"),
+                "--warmup", "2"]
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {tmp_path / 'a.csv'} (100 steps)"]
+        assert main(args + ["--measure-time", "--out", str(tmp_path / "b.csv")]) == 0
+        online, offline, wrote = capsys.readouterr().out.splitlines()
+        assert online.startswith("online step: p50 ") and " p99 " in online and " max " in online
+        assert online.endswith(" deadline overruns (flag 16)")
+        assert offline.startswith("offline refill: mean ") and offline.endswith(" ms per step")
+        assert wrote.startswith("wrote ")
+
     def test_env_out_dir_override(self, workspace, short_profile, tmp_path, monkeypatch):
         monkeypatch.setenv("PAMENC_OUT_DIR", str(tmp_path / "outputs"))
         rc = main(["simulate", "--mode", "original", "--profile", str(short_profile),
@@ -176,6 +189,27 @@ class TestServeIntegration:
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "expected 90 ciphertexts, got 72" in err and len(err.splitlines()) == 1
+
+    def test_replayed_reply_exits_runtime(self, workspace, short_profile, tmp_path, capsys,
+                                          monkeypatch):
+        from pamenc import ControllerService, Drbg, EncodingParams, crypto, enc_matrix, service
+
+        # a service that answers every request with its reply to the first
+        replies = []
+
+        def replaying_enc_eval(enc_phi, enc_xi, p):
+            replies.append(crypto.enc_eval(enc_phi, enc_xi, p))
+            return replies[0]
+
+        monkeypatch.setattr(service, "enc_eval", replaying_enc_eval)
+        keys = load_keys(workspace / "key.sec")
+        enc_phi = enc_matrix(load_phi(workspace / "phi.csv"), EncodingParams(), keys, Drbg(None))
+        with ControllerService(enc_phi, keys.p) as svc:
+            rc = _simulate_connected(workspace, short_profile, tmp_path, svc.address)
+        assert rc == EXIT_RUNTIME
+        assert len(replies) == 2
+        err = capsys.readouterr().err
+        assert "altered or replayed" in err and len(err.splitlines()) == 1
 
     def test_closed_connection_exits_runtime(self, workspace, short_profile, tmp_path):
         # a peer that accepts and hangs up at once

@@ -1,5 +1,6 @@
 """Key generation, fixed-point encoding, ElGamal, and the Dec+ pipeline."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -33,6 +34,9 @@ from pamenc.crypto import (
     DecodeOverflowError,
     EncodeOverflowError,
     OverflowGuardError,
+    PhiMasks,
+    ReplyIntegrityError,
+    draw_pads,
     is_probable_prime,
 )
 
@@ -86,6 +90,18 @@ class TestKeygen:
             assert is_probable_prime(n)
         for n in ((2**89 - 1) * (2**61 - 1), 2**128 + 1, (2**89 - 1) ** 2):
             assert not is_probable_prime(n)
+
+    def test_primality_above_256_bits(self):
+        # the random bases come from Drbg(n), which must take an n of any size
+        assert is_probable_prime(2**521 - 1)
+        assert not is_probable_prime((2**521 - 1) * (2**127 - 1))
+
+    def test_512_bit_key_file_roundtrip(self, tmp_path):
+        keys = keygen(bits=512, seed=2)
+        assert keys.bits == 512
+        pub, sec = save_keys(tmp_path / "key", keys)
+        assert load_keys(sec) == keys
+        assert load_keys(pub) == keys.public()
 
     def test_bit_floor(self):
         with pytest.raises(ValueError):
@@ -342,6 +358,45 @@ class TestMatrixPipeline:
             dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64, bounds)
 
 
+class TestOnlineDecPlus:
+    """Pads and session masks: the same psi as decryption by powers, with c1 checked."""
+
+    @pytest.fixture()
+    def session(self, keys64, phi):
+        enc = EncodingParams()
+        rng = Drbg(21)
+        return dict(enc=enc, rng=rng, enc_phi=enc_matrix(phi, enc, keys64, rng),
+                    bounds=check_overflow_guard(enc, phi, keys64.p), zero_mask=phi == 0.0,
+                    masks=PhiMasks())
+
+    def _step(self, s, keys, xi):
+        pads = draw_pads(18, keys, s["rng"])
+        products = enc_eval(s["enc_phi"], enc_vector(xi, s["enc"].delta_xi, keys, pads=pads),
+                            keys.p)
+        return products, pads
+
+    def test_matches_decryption_by_powers(self, session, keys64):
+        np_rng = np.random.default_rng(22)
+        for _ in range(6):
+            xi = np.array([np_rng.uniform(-b, b) for b in session["enc"].xi_bounds])
+            products, pads = self._step(session, keys64, xi)
+            args = (products, session["enc"], keys64, session["bounds"], session["zero_mask"])
+            assert dec_plus(*args, pads=pads, masks=session["masks"]) == dec_plus(*args)
+
+    def test_altered_or_replayed_c1_rejected(self, session, keys64):
+        xi = np.full(18, 0.1)
+        first, pads = self._step(session, keys64, xi)
+        args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
+        dec_plus(first, *args, pads=pads, masks=session["masks"])
+        products, pads = self._step(session, keys64, xi)
+        with pytest.raises(ReplyIntegrityError):  # step 1's reply to step 2's request
+            dec_plus(first, *args, pads=pads, masks=session["masks"])
+        ct = products[1][4]
+        products[1][4] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
+        with pytest.raises(ReplyIntegrityError, match=r"\(2,5\)"):
+            dec_plus(products, *args, pads=pads, masks=session["masks"])
+
+
 class TestDrbg:
     def test_deterministic_stream(self):
         assert Drbg(5).randbytes(64) == Drbg(5).randbytes(64)
@@ -355,3 +410,13 @@ class TestDrbg:
 
     def test_unseeded_is_nondeterministic(self):
         assert Drbg().randbytes(32) != Drbg().randbytes(32)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**256 - 1], ids=["0", "5", "2^256-1"])
+    def test_seed_below_2_256_is_32_bytes(self, seed):
+        # keys, nonces and prime verdicts at 256 bits and below depend on this stream
+        state = hashlib.sha256(b"pamenc-drbg:" + seed.to_bytes(32, "big")).digest()
+        want = hashlib.sha256(state + (0).to_bytes(8, "big")).digest()
+        assert Drbg(seed).randbytes(32) == want
+
+    def test_seed_above_2_256(self):
+        assert Drbg(2**300).randbytes(32) != Drbg(2**300 + 1).randbytes(32)

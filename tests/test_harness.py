@@ -1,5 +1,6 @@
 """Profiles, metric windows, scoring, traces, and closed-loop behavior."""
 
+import builtins
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from pamenc import (
     DEFAULT_PLANT,
     REF1,
     REF2,
+    ControllerInput,
     ControllerService,
     ControllerState,
     DeviceSession,
@@ -23,6 +25,7 @@ from pamenc import (
     SimTrace,
     build_phi,
     compare_report,
+    enc_eval,
     enc_matrix,
     fit_controller_coeffs,
     keygen,
@@ -30,7 +33,8 @@ from pamenc import (
     run_closed_loop,
     window_tracking_stats,
 )
-from pamenc.harness import load_profile
+from pamenc.crypto import ReplyIntegrityError
+from pamenc.harness import EncryptedController, load_profile
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +175,8 @@ class TestClosedLoop:
     def test_default_nonces_are_fresh(self, short_profile, phi, keys, monkeypatch):
         first_c1 = []
 
-        def recording_enc_vector(*args):
-            out = crypto.enc_vector(*args)
+        def recording_enc_vector(*args, **kwargs):
+            out = crypto.enc_vector(*args, **kwargs)
             first_c1.append(out[0].c1)
             return out
 
@@ -253,6 +257,127 @@ class TestCallRouting:
                                 phi=phi, keys=keys, warmup=0.2)
         assert len(trace) == 10
         assert counts == {name: 10 if name in called else 0 for name in self.NAMES}
+
+
+ZIN = ControllerInput(P1=450.0, P2=450.0, theta=0.0, theta_ref=math.radians(5.0), kp_ref=6.0)
+
+
+class FakeSession:
+    """Stands in for a DeviceSession: computes the products, then lets `tamper` edit them."""
+
+    def __init__(self, enc_phi, p, tamper):
+        self.enc_phi, self.p, self.tamper = enc_phi, p, tamper
+        self.replies = []
+
+    def eval(self, enc_xi):
+        products = enc_eval(self.enc_phi, enc_xi, self.p)
+        self.replies.append(products)
+        return self.tamper(len(self.replies), products, self.replies)
+
+
+class TestOnlineOffline:
+    """The encrypted step's modular powers run between steps, never inside one."""
+
+    @pytest.fixture()
+    def enc_phi(self, phi, keys):
+        return enc_matrix(phi, EncodingParams(), keys, Drbg(40))
+
+    @pytest.mark.parametrize("networked", [False, True], ids=["in-process", "loopback"])
+    def test_no_power_inside_a_step(self, networked, phi, keys, enc_phi, monkeypatch):
+        counts = {"pow": 0, "inverse": 0}
+
+        def counting_pow(base, exp, mod=None):
+            counts["inverse" if exp == -1 else "pow"] += 1
+            return builtins.pow(base, exp, mod)
+
+        def snapshot(log, fn):
+            def wrapper(self, *args):
+                before = dict(counts)
+                out = fn(self, *args)
+                log.append((counts["pow"] - before["pow"], counts["inverse"] - before["inverse"]))
+                return out
+            return wrapper
+
+        steps, refills = [], []
+        monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(EncryptedController, "step", snapshot(steps, EncryptedController.step))
+        monkeypatch.setattr(EncryptedController, "refill",
+                            snapshot(refills, EncryptedController.refill))
+        profile = ReferenceProfile(((0.0, 0.4, 5.0, 6.0),))
+        if networked:
+            with ControllerService(enc_phi, keys.p) as svc, \
+                    DeviceSession(svc.address, timeout=2.0) as dev:
+                run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0, session=dev)
+        else:
+            run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0)
+        assert steps == [(90, 18)] + [(0, 0)] * 19  # step 1 learns the session masks
+        assert refills == [(36, 18)] * 20
+
+    def test_step_without_refill_draws_fresh_pads(self, phi, keys, monkeypatch):
+        c1 = []
+
+        def recording_enc_vector(*args, **kwargs):
+            out = crypto.enc_vector(*args, **kwargs)
+            c1.append([ct.c1 for ct in out])
+            return out
+
+        monkeypatch.setattr(harness, "enc_vector", recording_enc_vector)
+        ctl = EncryptedController(phi, keys, nonce_seed=3)
+        ctl.step(ZIN)
+        ctl.step(ZIN)
+        assert len(c1) == 2 and c1[0] != c1[1]
+
+    @pytest.mark.parametrize("networked", [False, True], ids=["in-process", "loopback"])
+    def test_seeded_requests_match_per_entry_encryption(self, networked, phi, keys, enc_phi,
+                                                        short_profile, monkeypatch):
+        # the reference is each request encrypted entry by entry with fresh draws
+        # from the same stream, after the device's own Enc(Phi) when it builds one
+        requests, xis = [], []
+
+        def recording_enc_vector(*args, **kwargs):
+            out = crypto.enc_vector(*args, **kwargs)
+            requests.append(out)
+            xis.append(np.array(args[0]))
+            return out
+
+        monkeypatch.setattr(harness, "enc_vector", recording_enc_vector)
+        kw = dict(phi=phi, keys=keys, nonce_seed=17, warmup=2.0)
+        if networked:
+            with ControllerService(enc_phi, keys.p) as svc, \
+                    DeviceSession(svc.address, timeout=2.0) as dev:
+                run_closed_loop("encrypted", short_profile, session=dev, **kw)
+        else:
+            run_closed_loop("encrypted", short_profile, **kw)
+        rng = Drbg(17)
+        if not networked:
+            enc_matrix(phi, EncodingParams(), keys, rng)
+        assert len(requests) == 100
+        for xi, got in zip(xis, requests):
+            assert got == crypto.enc_vector(xi, EncodingParams().delta_xi, keys, rng)
+
+    @pytest.mark.parametrize("tamper, completed", [
+        (lambda k, prods, _: [[ct._replace(c1=ct.c1 + 1) if (k, i, j) == (3, 0, 4) else ct
+                               for j, ct in enumerate(row)] for i, row in enumerate(prods)], 2),
+        (lambda k, prods, replies: replies[0] if k == 2 else prods, 1),
+    ], ids=["c1-altered-at-step-3", "step-1-replayed-at-step-2"])
+    def test_tampered_reply_is_named(self, tamper, completed, phi, keys, enc_phi, short_profile):
+        # Dec+ by powers would read these as some other plaintext, or a DecodeOverflowError
+        seen = []
+        with pytest.raises(ReplyIntegrityError, match="altered or replayed"):
+            run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
+                            session=FakeSession(enc_phi, keys.p, tamper),
+                            on_step=lambda k, c: seen.append(k))
+        assert len(seen) == completed
+
+    def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
+        trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
+                                warmup=2.0, measure_time=True)
+        assert trace.offline_time > 0.0
+        trace.to_csv(tmp_path / "t.csv")
+        header = (tmp_path / "t.csv").read_text().splitlines()[0]
+        assert header == ",".join(harness.TRACE_COLUMNS)
+        untimed = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0)
+        assert untimed.offline_time == 0.0
 
 
 class TestCompareReport:
