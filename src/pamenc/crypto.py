@@ -9,10 +9,13 @@ summing rows in plaintext (Dec+).
 
 A step needs no modular power once its nonces are drawn ahead. Each xi_j
 takes a pad (g^k, h^k, h^-k) drawn between steps (`draw_pads`), so
-encrypting it is one multiplication. Every product has c1 = c1(Phi_ij) g^k,
-so c1(Phi_ij)^-s is fixed for the session: `PhiMasks` learns it from the
-first reply, after which a product decrypts in two multiplications and its
-c1 is checked against c1(Phi_ij) g^k.
+encrypting it is one multiplication. Drawing the pads runs no power either:
+g and h are fixed for the session, so g^k and h^k are products of rows of a
+precomputed `FixedBase` table, and all the h^-k come from one modular
+inverse (`_inverses`). Every product has c1 = c1(Phi_ij) g^k, so
+c1(Phi_ij)^-s is fixed for the session: `PhiMasks` learns it from the first
+reply, after which a product decrypts in two multiplications and its c1 is
+checked against c1(Phi_ij) g^k.
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -312,15 +315,65 @@ class Pad(NamedTuple):
     h_inv_k: int
 
 
-def draw_pads(n: int, keys: ElGamalKeys, rng: Drbg) -> list[Pad]:
-    """n pads, one nonce each from `rng` in the order `enc_vector` draws them."""
-    p = keys.p
-    pads = []
-    for _ in range(n):
-        k = rng.randrange(1, p - 1)
-        h_k = pow(keys.h, k, p)
-        pads.append(Pad(pow(keys.g, k, p), h_k, pow(h_k, -1, p)))
-    return pads
+class FixedBase:
+    """base^e mod p for a base fixed in advance, by table lookup: no modular power.
+
+    Row i holds base^(d 256^i) for every 8-bit digit d, one row per byte of
+    p, so base^e is the product of one entry per base-256 digit of e: at most
+    8 multiplications at 64 bits (fixed-base windowing; Brickell, Gordon,
+    McCurley and Wilson, EUROCRYPT '92; HAC 14.6.3). An exponent outside
+    [0, 256^rows), a range that holds every exponent below p, raises
+    OverflowError.
+    """
+
+    def __init__(self, base: int, p: int):
+        self.p = p
+        self._rows = []
+        b = base % p
+        for _ in range((p.bit_length() + 7) // 8):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * b % p)
+            self._rows.append(row)
+            b = row[-1] * b % p  # b^256, the next row's base
+
+    def pow(self, e: int) -> int:
+        p = self.p
+        r = 1
+        for row, d in zip(self._rows, e.to_bytes(len(self._rows), "little")):
+            r = r * row[d] % p
+        return r
+
+
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """Every x^-1 mod p from one modular inverse (Montgomery's batch trick).
+
+    Prefix products x_0 ... x_i, one inverse of the last, then back-
+    substitution: x_i^-1 = (x_0 ... x_i)^-1 (x_0 ... x_(i-1)).
+    """
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % p)
+    inv = pow(prefix.pop(), -1, p)
+    out = []
+    for x, before in zip(reversed(xs), reversed(prefix)):
+        out.append(inv * before % p)
+        inv = inv * x % p
+    out.reverse()
+    return out
+
+
+def draw_pads(n: int, keys: ElGamalKeys, rng: Drbg,
+              tables: tuple[FixedBase, FixedBase]) -> list[Pad]:
+    """n pads, one nonce each from `rng` in the order `enc_vector` draws them.
+
+    `tables` are the session's FixedBase tables for g and h; the h^-k of all
+    n pads take one modular inverse between them.
+    """
+    g_table, h_table = tables
+    ks = [rng.randrange(1, keys.p - 1) for _ in range(n)]
+    h_k = [h_table.pow(k) for k in ks]
+    return [Pad(g_table.pow(k), hk, hik) for k, hk, hik in zip(ks, h_k, _inverses(h_k, keys.p))]
 
 
 def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg | None = None, *,
@@ -347,7 +400,9 @@ def enc_eval(enc_phi: list[list[Ciphertext]], enc_xi: list[Ciphertext],
     """The 90 homomorphic products Enc(Phi[i][j]) * Enc(xi[j]); no additions."""
     if any(len(row) != len(enc_xi) for row in enc_phi):
         raise ValueError("column count mismatch")
-    return [[hom_mul(pij, xj, p) for pij, xj in zip(row, enc_xi)] for row in enc_phi]
+    new = tuple.__new__  # hom_mul inlined: NamedTuple's __new__ is a Python call per product
+    return [[new(Ciphertext, (a1 * x1 % p, a2 * x2 % p))
+             for (a1, a2), (x1, x2) in zip(row, enc_xi)] for row in enc_phi]
 
 
 class DecodeOverflowError(RuntimeError):
@@ -364,7 +419,7 @@ class PhiMasks:
     Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
     and c1^-s = mask_ij h^-k with mask_ij = c1(Phi_ij)^-s, both fixed for the
     session. `learn` derives the two 5x18 tables from one reply and its pads
-    (90 powers, 18 inverses); `check` holds a later reply to them.
+    (90 powers, one batch inverse); `check` holds a later reply to them.
     """
 
     def __init__(self):
@@ -373,7 +428,7 @@ class PhiMasks:
 
     def learn(self, products: list[list[Ciphertext]], pads: list[Pad], keys: ElGamalKeys) -> None:
         p, e = keys.p, keys.p - 1 - keys.s
-        g_inv_k = [pow(pad.g_k, -1, p) for pad in pads]
+        g_inv_k = _inverses([pad.g_k for pad in pads], p)
         self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
                        for row in products]
         self.mask = [[pow(ct.c1, e, p) * pad.h_k % p for ct, pad in zip(row, pads, strict=True)]

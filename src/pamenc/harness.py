@@ -25,6 +25,7 @@ from .crypto import (
     Drbg,
     ElGamalKeys,
     EncodingParams,
+    FixedBase,
     Pad,
     PhiMasks,
     check_overflow_guard,
@@ -231,13 +232,15 @@ class EncryptedController(MatrixController):
     service's Enc(Phi) is built with. `last_plain_psi` carries the plaintext
     Phi xi value evaluated on the same xi for paired comparisons.
 
-    The modular powers run offline. `refill`, called between steps, draws
-    the next step's 18 nonce pads (36 powers, 18 inverses); a step that
-    finds none draws them itself, and no pad serves two steps. Online,
-    encrypting is one multiplication per entry and Dec+ two per product,
-    with the masks learned from the first reply (`crypto.PhiMasks`, the
-    same in both modes); that first reply is decrypted with powers. A later
-    reply whose c1 does not match raises `crypto.ReplyIntegrityError`.
+    No modular power runs in a step after the first. `refill`, called
+    between steps, draws the next step's 18 nonce pads from the fixed-base
+    tables of g and h built here (`crypto.FixedBase`) with one modular
+    inverse and no power; a step that finds none draws them itself, and no
+    pad serves two steps. Online, encrypting is one multiplication per entry
+    and Dec+ two per product, with the masks learned from the first reply
+    (`crypto.PhiMasks`, the same in both modes); that first reply is
+    decrypted with powers. A later reply whose c1 does not match raises
+    `crypto.ReplyIntegrityError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -255,6 +258,7 @@ class EncryptedController(MatrixController):
         self.session = session
         self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng)
                         if session is None else None)  # else the service holds Enc(Phi)
+        self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
         self.masks = PhiMasks()
         self._pads: list[Pad] | None = None  # the next step's, until it takes them
         self.last_plain_psi: np.ndarray | None = None
@@ -262,7 +266,7 @@ class EncryptedController(MatrixController):
     def refill(self) -> None:
         """Offline work: draw the next step's nonce pads unless unused ones wait."""
         if self._pads is None:
-            self._pads = draw_pads(18, self.keys, self.rng)
+            self._pads = draw_pads(18, self.keys, self.rng, self.tables)
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
         for j, (v, bound) in enumerate(zip(xi, self.encoding.xi_bounds)):

@@ -33,9 +33,12 @@ from pamenc import (
 from pamenc.crypto import (
     DecodeOverflowError,
     EncodeOverflowError,
+    FixedBase,
     OverflowGuardError,
+    Pad,
     PhiMasks,
     ReplyIntegrityError,
+    _inverses,
     draw_pads,
     is_probable_prime,
 )
@@ -252,6 +255,71 @@ class TestHomomorphism:
         right = hom_mul(cts[0], hom_mul(cts[1], cts[2], keys64.p), keys64.p)
         assert left == right
 
+    def test_enc_eval_is_hom_mul_per_product(self, keys64):
+        rng = Drbg(8)
+        enc_phi = [[encrypt(rng.randrange(1, keys64.p), keys64, rng) for _ in range(18)]
+                   for _ in range(5)]
+        enc_xi = [encrypt(rng.randrange(1, keys64.p), keys64, rng) for _ in range(18)]
+        products = enc_eval(enc_phi, enc_xi, keys64.p)
+        assert products == [[hom_mul(a, x, keys64.p) for a, x in zip(row, enc_xi)]
+                            for row in enc_phi]
+        assert all(type(ct) is Ciphertext for row in products for ct in row)
+        assert products[0][0]._replace(c1=1) == Ciphertext(1, products[0][0].c2)
+
+
+# primes of 64, 100, 128, 256 and 512 bits; 100 is not a whole number of table rows
+MODULI = (2**64 - 59, 2**100 - 15, 2**128 - 159, 2**256 - 189, 2**512 - 569)
+
+
+class TestFixedBase:
+    """Table exponentiation and the batch inverse against builtin pow."""
+
+    @pytest.mark.parametrize("p", MODULI, ids=lambda p: f"{p.bit_length()}-bit")
+    def test_edge_exponents(self, p):
+        base = 3
+        table = FixedBase(base, p)
+        assert len(table._rows) == (p.bit_length() + 7) // 8
+        for e in (0, 1, 255, 256, p - 2):
+            assert table.pow(e) == pow(base, e, p)
+
+    @pytest.mark.parametrize("p", MODULI, ids=lambda p: f"{p.bit_length()}-bit")
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_exponents(self, p, data):
+        base = data.draw(st.integers(2, p - 2))
+        e = data.draw(st.integers(0, p - 1))
+        assert FixedBase(base, p).pow(e) == pow(base, e, p)
+
+    def test_exponent_outside_table(self):
+        table = FixedBase(5, MODULI[1])  # 13 rows
+        assert table.pow(256**13 - 1) == pow(5, 256**13 - 1, MODULI[1])
+        for e in (256**13, -1):
+            with pytest.raises(OverflowError):
+                table.pow(e)
+
+    @pytest.mark.parametrize("p", MODULI, ids=lambda p: f"{p.bit_length()}-bit")
+    def test_batch_inverse(self, p):
+        rng = Drbg(p)
+        xs = [rng.randrange(1, p) for _ in range(18)]
+        invs = _inverses(xs, p)
+        assert len(invs) == 18
+        assert all(x * inv % p == 1 for x, inv in zip(xs, invs))
+        assert _inverses([], p) == []
+
+    @pytest.mark.parametrize("bits, seed", [(64, 2024), (256, 3)])
+    @pytest.mark.parametrize("nonce_seed", [0, 11])
+    def test_pads_match_builtin_pow(self, bits, seed, nonce_seed):
+        keys = keygen(bits=bits, seed=seed)
+        p = keys.p
+        tables = (FixedBase(keys.g, p), FixedBase(keys.h, p))
+        rng = Drbg(nonce_seed)
+        want = []
+        for _ in range(18):
+            k = rng.randrange(1, p - 1)
+            h_k = pow(keys.h, k, p)
+            want.append(Pad(pow(keys.g, k, p), h_k, pow(h_k, -1, p)))
+        assert draw_pads(18, keys, Drbg(nonce_seed), tables) == want
+
 
 @pytest.fixture(scope="module")
 def phi():
@@ -367,10 +435,11 @@ class TestOnlineDecPlus:
         rng = Drbg(21)
         return dict(enc=enc, rng=rng, enc_phi=enc_matrix(phi, enc, keys64, rng),
                     bounds=check_overflow_guard(enc, phi, keys64.p), zero_mask=phi == 0.0,
-                    masks=PhiMasks())
+                    masks=PhiMasks(),
+                    tables=(FixedBase(keys64.g, keys64.p), FixedBase(keys64.h, keys64.p)))
 
     def _step(self, s, keys, xi):
-        pads = draw_pads(18, keys, s["rng"])
+        pads = draw_pads(18, keys, s["rng"], s["tables"])
         products = enc_eval(s["enc_phi"], enc_vector(xi, s["enc"].delta_xi, keys, pads=pads),
                             keys.p)
         return products, pads

@@ -33,7 +33,7 @@ from pamenc import (
     run_closed_loop,
     window_tracking_stats,
 )
-from pamenc.crypto import ReplyIntegrityError
+from pamenc.crypto import ReplyIntegrityError, find_session_key
 from pamenc.harness import EncryptedController, load_profile
 
 
@@ -310,8 +310,21 @@ class TestOnlineOffline:
                 run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0, session=dev)
         else:
             run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0)
-        assert steps == [(90, 18)] + [(0, 0)] * 19  # step 1 learns the session masks
-        assert refills == [(36, 18)] * 20
+        assert steps == [(90, 1)] + [(0, 0)] * 19  # step 1 learns the session masks
+        assert refills == [(0, 1)] * 20  # fixed-base tables, one batch inverse
+
+    def test_256_bit_session_is_transparent(self, phi):
+        # criterion 3 at four times the default key length, where the tables have 32 rows
+        keys256 = find_session_key(phi, EncodingParams(), bits=256, seed=0)
+        profile = ReferenceProfile(((0.0, 2.0, 5.0, 6.0), (2.0, 4.0, 10.0, 8.0)))
+        devs = []
+        ta = run_closed_loop("approx", profile, phi=phi, warmup=2.0)
+        te = run_closed_loop("encrypted", profile, phi=phi, keys=keys256, warmup=2.0,
+                             on_step=lambda k, c: devs.append(
+                                 float(np.max(np.abs(c.last_psi - c.last_plain_psi)))))
+        assert len(devs) == 200 and max(devs) <= 1e-4
+        for col in ("u1", "u2"):
+            assert np.max(np.abs(ta[col] - te[col])) <= 1e-4
 
     def test_step_without_refill_draws_fresh_pads(self, phi, keys, monkeypatch):
         c1 = []
