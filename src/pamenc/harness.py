@@ -239,8 +239,8 @@ class EncryptedController(MatrixController):
     pad serves two steps. Online, encrypting is one multiplication per entry
     and Dec+ two per product, with the masks learned from the first reply
     (`crypto.PhiMasks`, the same in both modes); that first reply is
-    decrypted with powers. A later reply whose c1 does not match raises
-    `crypto.ReplyIntegrityError`.
+    decrypted with powers. A later reply whose c1 does not match, or any
+    reply with a c2 outside [1, p), raises `crypto.ReplyIntegrityError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,

@@ -17,12 +17,17 @@ by the whole payload: the narrowest that holds the payload's largest
 integer. The receiver gets the width from the payload length, so one length
 check validates the payload. With a 64-bit key a request frame is 297 bytes
 and a reply about 1449 bytes.
+
+The codec makes no Python-level call per integer: a payload splits into
+fields with one `struct.unpack_from`, the fields become integers through
+`map(int.from_bytes, ...)`, and packing joins `map(int.to_bytes, ...)`.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+from itertools import chain, repeat
 
 from .crypto import Ciphertext
 
@@ -60,9 +65,9 @@ class ProtocolError(Exception):
 
 
 def pack_ciphertexts(cts: list[Ciphertext]) -> bytes:
-    halves = [half for ct in cts for half in (ct.c1, ct.c2)]
+    halves = list(chain.from_iterable(cts))
     width = (max(halves, default=1).bit_length() + 7) // 8
-    return b"".join(half.to_bytes(width, "big") for half in halves)
+    return b"".join(map(int.to_bytes, halves, repeat(width), repeat("big")))
 
 
 def pack_frame(msg_type: int, payload: bytes, version: int = PROTOCOL_VERSION) -> bytes:
@@ -93,8 +98,10 @@ def parse_counted_ciphertexts(payload: bytes, expected: int) -> list[Ciphertext]
     if extra or not width:
         raise ProtocolError(ERR_MALFORMED, f"{len(payload) - 2} bytes do not hold "
                                            f"{count} ciphertexts of one width")
-    ints = [int.from_bytes(payload[i:i + width], "big") for i in range(2, len(payload), width)]
-    return [Ciphertext(c1, c2) for c1, c2 in zip(ints[::2], ints[1::2])]
+    fields = struct.unpack_from(f"{width}s" * (2 * count), payload, 2)
+    ints = map(int.from_bytes, fields, repeat("big"))
+    # tuple.__new__ builds each Ciphertext without NamedTuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(Ciphertext), zip(ints, ints)))
 
 
 def parse_error(payload: bytes) -> ProtocolError:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from itertools import chain
 
 from . import protocol
 from .crypto import Ciphertext, enc_eval
@@ -88,7 +89,7 @@ class ControllerService:
                         raise ProtocolError(ERR_MALFORMED, f"unexpected message type {msg_type:#x}")
                     enc_xi = protocol.parse_counted_ciphertexts(payload, protocol.REQUEST_COUNT)
                     products = enc_eval(self._enc_phi, enc_xi, self._p)
-                    flat = [ct for row in products for ct in row]
+                    flat = list(chain.from_iterable(products))
                     conn.sendall(protocol.pack_eval_response(flat))
                 except ProtocolError as exc:
                     self._send_error(conn, exc.code, exc.reason)

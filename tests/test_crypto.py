@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -429,14 +430,17 @@ class TestMatrixPipeline:
 class TestOnlineDecPlus:
     """Pads and session masks: the same psi as decryption by powers, with c1 checked."""
 
-    @pytest.fixture()
-    def session(self, keys64, phi):
+    @staticmethod
+    def _session(keys, phi):
         enc = EncodingParams()
         rng = Drbg(21)
-        return dict(enc=enc, rng=rng, enc_phi=enc_matrix(phi, enc, keys64, rng),
-                    bounds=check_overflow_guard(enc, phi, keys64.p), zero_mask=phi == 0.0,
-                    masks=PhiMasks(),
-                    tables=(FixedBase(keys64.g, keys64.p), FixedBase(keys64.h, keys64.p)))
+        return dict(enc=enc, rng=rng, enc_phi=enc_matrix(phi, enc, keys, rng),
+                    bounds=check_overflow_guard(enc, phi, keys.p), zero_mask=phi == 0.0,
+                    masks=PhiMasks(), tables=(FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p)))
+
+    @pytest.fixture()
+    def session(self, keys64, phi):
+        return self._session(keys64, phi)
 
     def _step(self, s, keys, xi):
         pads = draw_pads(18, keys, s["rng"], s["tables"])
@@ -444,13 +448,18 @@ class TestOnlineDecPlus:
                             keys.p)
         return products, pads
 
-    def test_matches_decryption_by_powers(self, session, keys64):
+    def test_matches_decryption_by_powers(self, session, keys64, phi):
         np_rng = np.random.default_rng(22)
-        for _ in range(6):
-            xi = np.array([np_rng.uniform(-b, b) for b in session["enc"].xi_bounds])
-            products, pads = self._step(session, keys64, xi)
-            args = (products, session["enc"], keys64, session["bounds"], session["zero_mask"])
-            assert dec_plus(*args, pads=pads, masks=session["masks"]) == dec_plus(*args)
+        sessions = [(session, keys64)]
+        for bits in (128, 256):
+            keys = keygen(bits=bits, seed=bits)
+            sessions.append((self._session(keys, phi), keys))
+        for s, keys in sessions:
+            for _ in range(6):
+                xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
+                products, pads = self._step(s, keys, xi)
+                args = (products, s["enc"], keys, s["bounds"], s["zero_mask"])
+                assert dec_plus(*args, pads=pads, masks=s["masks"]) == dec_plus(*args)
 
     def test_altered_or_replayed_c1_rejected(self, session, keys64):
         xi = np.full(18, 0.1)
@@ -463,6 +472,23 @@ class TestOnlineDecPlus:
         ct = products[1][4]
         products[1][4] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
         with pytest.raises(ReplyIntegrityError, match=r"\(2,5\)"):
+            dec_plus(products, *args, pads=pads, masks=session["masks"])
+
+    @pytest.mark.parametrize("altered, named", [
+        ([(2, 6), (1, 4)], "(2,5)"),   # two bad rows: the first in row-major order is named
+        ([(1, 11), (1, 4)], "(2,5)"),  # two bad products in one row: the first is named
+        ([(4, 17)], "(5,18)"),         # the last product of the last row
+    ], ids=["first-of-two-rows", "first-in-its-row", "last-product"])
+    def test_row_check_names_the_first_altered_c1(self, altered, named, session, keys64):
+        xi = np.full(18, 0.1)
+        args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
+        first, pads = self._step(session, keys64, xi)
+        dec_plus(first, *args, pads=pads, masks=session["masks"])
+        products, pads = self._step(session, keys64, xi)
+        for i, j in altered:
+            ct = products[i][j]
+            products[i][j] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
+        with pytest.raises(ReplyIntegrityError, match=re.escape(named)):
             dec_plus(products, *args, pads=pads, masks=session["masks"])
 
 

@@ -382,6 +382,23 @@ class TestOnlineOffline:
                             on_step=lambda k, c: seen.append(k))
         assert len(seen) == completed
 
+    @pytest.mark.parametrize("step", [1, 3])
+    @pytest.mark.parametrize("c2_of", [lambda c2, p: 0, lambda c2, p: c2 + p], ids=["zero", "plus-p"])
+    def test_c2_outside_the_group_is_named(self, c2_of, step, phi, keys, enc_phi, short_profile):
+        # c2 = 0 used to surface as decode's bare ValueError; c2 + p decrypted like c2
+        def tamper(k, prods, _):
+            if k == step:
+                ct = prods[3][9]
+                prods[3][9] = ct._replace(c2=c2_of(ct.c2, keys.p))
+            return prods
+
+        seen = []
+        with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c2 .* outside \[1, p\)"):
+            run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
+                            session=FakeSession(enc_phi, keys.p, tamper),
+                            on_step=lambda k, c: seen.append(k))
+        assert len(seen) == step - 1
+
     def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
         trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
                                 warmup=2.0, measure_time=True)

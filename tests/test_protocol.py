@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pamenc import (
     DEFAULT_GAINS,
@@ -113,6 +115,65 @@ class TestFraming:
         assert msg_type == MSG_ERROR
         err = protocol.parse_error(frame[7:])
         assert err.code == ERR_VERSION and err.reason == "nope"
+
+
+def reference_pack(cts, width=None):
+    """The per-integer encoder the codec must match byte for byte.
+
+    Every integer takes `width` bytes, by default the narrowest that holds them all.
+    """
+    halves = [half for ct in cts for half in (ct.c1, ct.c2)]
+    if width is None:
+        width = (max(halves, default=1).bit_length() + 7) // 8
+    return b"".join(half.to_bytes(width, "big") for half in halves)
+
+
+def reference_parse(payload, count):
+    """The per-integer decoder, for a payload whose count and width are valid."""
+    width = (len(payload) - 2) // (2 * count)
+    ints = [int.from_bytes(payload[i:i + width], "big") for i in range(2, len(payload), width)]
+    return [Ciphertext(c1, c2) for c1, c2 in zip(ints[::2], ints[1::2])]
+
+
+@st.composite
+def ciphertexts_of_one_width(draw):
+    """(width, cts): 1-65 byte integers (keys up to 520 bits), 1-90 ciphertexts, edges included."""
+    width = draw(st.integers(1, 65))
+    top = (1 << (8 * width)) - 1
+    half = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    pairs = draw(st.lists(st.tuples(half, half), min_size=1, max_size=90))
+    return width, [Ciphertext(c1, c2) for c1, c2 in pairs]
+
+
+class TestCodecOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ciphertexts_of_one_width())
+    def test_matches_the_per_integer_codec(self, case):
+        width, cts = case
+        packed = protocol.pack_ciphertexts(cts)
+        assert packed == reference_pack(cts)
+        payload = struct.pack(">H", len(cts)) + packed
+        if max(max(ct) for ct in cts) == 0:  # every integer 0: a zero-width payload
+            with pytest.raises(ProtocolError) as err:
+                protocol.parse_counted_ciphertexts(payload, len(cts))
+            assert err.value.code == ERR_MALFORMED
+        else:
+            got = protocol.parse_counted_ciphertexts(payload, len(cts))
+            assert got == cts and all(type(ct) is Ciphertext for ct in got)
+        # any width that holds the integers parses, not only the narrowest
+        wide = struct.pack(">H", len(cts)) + reference_pack(cts, width)
+        got = protocol.parse_counted_ciphertexts(wide, len(cts))
+        assert got == reference_parse(wide, len(cts)) == cts
+        assert all(type(ct) is Ciphertext for ct in got)
+        with pytest.raises(ProtocolError) as err:
+            protocol.parse_counted_ciphertexts(wide + b"\x00", len(cts))
+        assert err.value.code == ERR_MALFORMED
+
+    @pytest.mark.parametrize("count", [1, 18, 90])
+    def test_zero_width_payload_rejected(self, count):
+        with pytest.raises(ProtocolError) as err:
+            protocol.parse_counted_ciphertexts(struct.pack(">H", count), count)
+        assert err.value.code == ERR_MALFORMED
 
 
 class TestService:
