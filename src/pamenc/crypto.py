@@ -414,47 +414,32 @@ class ReplyIntegrityError(RuntimeError):
     c1(Phi_ij) g^k (altered or replayed), or a c2 outside [1, p)."""
 
 
-def _columns(table, bounds, zero_mask) -> list[list[tuple]]:
-    """Dec+'s work list: per row, (j, table_ij, bound_ij (1 + 1e-12)) for
-    every column whose Phi entry is not exactly zero."""
-    return [[(j, entry, math.inf if bounds is None else float(bounds[i][j] * (1.0 + 1e-12)))
-             for j, entry in enumerate(row) if zero_mask is None or not zero_mask[i][j]]
-            for i, row in enumerate(table)]
-
-
 class PhiMasks:
     """What Dec+ learns from a session's first reply, to decrypt later ones without a power.
 
     Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
     and c1^-s = mask_ij h^-k with mask_ij = c1(Phi_ij)^-s, both fixed for the
-    session. `learn` derives the 5x18 table of c1(Phi_ij) and, per row, the
-    (j, mask_ij, bound) work list of the columns Dec+ decrypts, from one reply
-    and its pads (90 powers, one batch inverse), with the session's bounds and
-    zero mask; `check` holds a later reply to them.
+    session. `learn` derives the two 5x18 tables from one reply and its pads
+    (90 powers, one batch inverse); `check` holds a later reply to them.
     """
 
     def __init__(self):
         self.c1_phi: list[list[int]] | None = None
-        self.columns: list[list[tuple[int, int, float]]] | None = None
+        self.mask: list[list[int]] | None = None
 
-    def learn(self, products: list[list[Ciphertext]], pads: list[Pad], keys: ElGamalKeys,
-              bounds, zero_mask) -> None:
+    def learn(self, products: list[list[Ciphertext]], pads: list[Pad], keys: ElGamalKeys) -> None:
         p, e = keys.p, keys.p - 1 - keys.s
         g_inv_k = _inverses([pad.g_k for pad in pads], p)
         self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
                        for row in products]
-        mask = [[pow(ct.c1, e, p) * pad.h_k % p for ct, pad in zip(row, pads, strict=True)]
-                for row in products]
-        self.columns = _columns(mask, bounds, zero_mask)
+        self.mask = [[pow(ct.c1, e, p) * pad.h_k % p for ct, pad in zip(row, pads, strict=True)]
+                     for row in products]
 
     def check(self, products: list[list[Ciphertext]], pads: list[Pad], p: int) -> None:
         """Raise ReplyIntegrityError unless every c1 is c1(Phi_ij) times this step's g^k."""
-        g_k = [pad.g_k for pad in pads]
         for i, (row, c1_row) in enumerate(zip(products, self.c1_phi, strict=True)):
-            if [ct[0] for ct in row] == [c * g % p for c, g in zip(c1_row, g_k)]:
-                continue
-            for j, (ct, c1_phi, g) in enumerate(zip(row, c1_row, g_k, strict=True)):
-                if ct.c1 != c1_phi * g % p:
+            for j, (ct, c1_phi, pad) in enumerate(zip(row, c1_row, pads, strict=True)):
+                if ct.c1 != c1_phi * pad.g_k % p:
                     raise ReplyIntegrityError(
                         f"product ({i+1},{j+1}): c1 is not Enc(Phi)'s c1 times this step's "
                         f"g^k; the reply was altered or replayed")
@@ -481,36 +466,34 @@ def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
 
     With the `pads` the step's xi was encrypted with, and the session's
     `masks`, a product decrypts as c2 mask_ij h^-k: two multiplications. The
-    first such call learns the masks, and with them the session's `bounds`
-    and `zero_mask`; every later one first checks each row's c1 as one list
-    (ReplyIntegrityError). The result is the same either way.
+    first such call learns the masks; every later one first checks each
+    product's c1 (ReplyIntegrityError). The result is the same either way.
     """
     if keys.s is None:
         raise ValueError("secret exponent required for decryption")
     p = keys.p
-    if pads is None:  # decryption by powers: c2 c1^(p-1-s), the mask with h^-k = 1
-        e = p - 1 - keys.s
-        columns = [[(j, pow(ct.c1, e, p), limit) for j, ct, limit in cols]
-                   for cols in _columns(products, bounds, zero_mask)]
-        h_inv_k = [1] * max(map(len, products), default=0)
-    else:
-        if masks.columns is None:
-            masks.learn(products, pads, keys, bounds, zero_mask)
+    if pads is not None:
+        if masks.mask is None:
+            masks.learn(products, pads, keys)
         else:
             masks.check(products, pads, p)
-        columns = masks.columns
-        h_inv_k = [pad.h_inv_k for pad in pads]
     combined = params.delta_xi * params.delta_phi
     psi = []
-    for i, (row, cols) in enumerate(zip(products, columns)):
+    for i, row in enumerate(products):
         total = 0.0
-        for j, mask, limit in cols:
-            c2 = row[j].c2
+        for j, ct in enumerate(row):
+            if zero_mask is not None and zero_mask[i][j]:
+                continue
+            c2 = ct.c2
             if not 0 < c2 < p:
                 raise ReplyIntegrityError(
                     f"product ({i+1},{j+1}): c2 = {c2} is outside [1, p); the reply was altered")
-            val = decode(c2 * mask * h_inv_k[j] % p, combined, p)
-            if abs(val) > limit:
+            if pads is None:
+                m = decrypt(ct, keys)
+            else:
+                m = c2 * masks.mask[i][j] * pads[j].h_inv_k % p
+            val = decode(m, combined, p)
+            if bounds is not None and abs(val) > bounds[i][j] * (1.0 + 1e-12):
                 raise DecodeOverflowError(
                     f"decoded product ({i+1},{j+1}) = {val!r} exceeds its bound "
                     f"{bounds[i][j]!r}; check delta/key-size configuration")

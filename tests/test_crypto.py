@@ -479,7 +479,7 @@ class TestOnlineDecPlus:
         ([(1, 11), (1, 4)], "(2,5)"),  # two bad products in one row: the first is named
         ([(4, 17)], "(5,18)"),         # the last product of the last row
     ], ids=["first-of-two-rows", "first-in-its-row", "last-product"])
-    def test_row_check_names_the_first_altered_c1(self, altered, named, session, keys64):
+    def test_c1_check_names_the_first_altered_product(self, altered, named, session, keys64):
         xi = np.full(18, 0.1)
         args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
         first, pads = self._step(session, keys64, xi)
