@@ -14,8 +14,11 @@ g and h are fixed for the session, so g^k and h^k are products of rows of a
 precomputed `FixedBase` table, and all the h^-k come from one modular
 inverse (`_inverses`). Every product has c1 = c1(Phi_ij) g^k, so
 c1(Phi_ij)^-s is fixed for the session: `PhiMasks` learns it from the first
-reply, after which a product decrypts in two multiplications and its c1 is
-checked against c1(Phi_ij) g^k.
+reply. After that every nonce-dependent factor of a step's Dec+ is known
+before its reply arrives, and `PhiMasks.prepare` computes them between
+steps: the expected c1(Phi_ij) g^k and the decryption factor
+c1(Phi_ij)^-s h^-k. Online, Dec+ compares each row of c1 as one list and
+decrypts a product in one multiplication.
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -72,6 +75,10 @@ class Drbg:
     def randbytes(self, n: int) -> bytes:
         if self._state is None:
             return secrets.token_bytes(n)
+        if 0 < n <= 32:  # one SHA-256 block, as for every nonce up to 256 bits
+            block = hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
+            self._counter += 1
+            return block[:n]
         out = bytearray()
         while len(out) < n:
             block = hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
@@ -411,7 +418,32 @@ class DecodeOverflowError(RuntimeError):
 
 class ReplyIntegrityError(RuntimeError):
     """A reply product is not what the service owes: a c1 that is not
-    c1(Phi_ij) g^k (altered or replayed), or a c2 outside [1, p)."""
+    c1(Phi_ij) g^k (altered or replayed), or a c1 or c2 outside [1, p)."""
+
+
+class Prepared(NamedTuple):
+    """What Dec+ needs of one step besides its reply, row by row.
+
+    `c1` holds the c1 every product must carry (None: not checked) and
+    `factors` a (j, c1_ij^-s) pair for each product Dec+ decrypts, so a
+    product decrypts as c2 times its factor.
+    """
+
+    c1: tuple[tuple[int, ...], ...] | None
+    factors: list[list[tuple[int, int]]]
+
+
+def _columns(zero_mask, i: int, n: int):
+    """Row i's columns that Dec+ decrypts: all but the zero entries of Phi."""
+    return range(n) if zero_mask is None else [j for j, zero in enumerate(zero_mask[i]) if not zero]
+
+
+def _check_in_group(values, i: int, name: str, p: int) -> None:
+    """Raise ReplyIntegrityError naming the first of row i's values outside [1, p)."""
+    if min(values) < 1 or max(values) >= p:
+        j = next(j for j, v in enumerate(values) if not 0 < v < p)
+        raise ReplyIntegrityError(
+            f"product ({i+1},{j+1}): {name} = {values[j]} is outside [1, p); the reply was altered")
 
 
 class PhiMasks:
@@ -420,7 +452,9 @@ class PhiMasks:
     Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
     and c1^-s = mask_ij h^-k with mask_ij = c1(Phi_ij)^-s, both fixed for the
     session. `learn` derives the two 5x18 tables from one reply and its pads
-    (90 powers, one batch inverse); `check` holds a later reply to them.
+    (90 powers, one batch inverse). `prepare` turns them and a step's pads
+    into that step's `Prepared` before its reply arrives: the 90 expected c1
+    and a factor mask_ij h^-k for each nonzero entry, multiplications only.
     """
 
     def __init__(self):
@@ -429,32 +463,45 @@ class PhiMasks:
 
     def learn(self, products: list[list[Ciphertext]], pads: list[Pad], keys: ElGamalKeys) -> None:
         p, e = keys.p, keys.p - 1 - keys.s
+        for i, row in enumerate(products):
+            _check_in_group([ct.c1 for ct in row], i, "c1", p)  # a c1 of 0 would learn a mask of 0
         g_inv_k = _inverses([pad.g_k for pad in pads], p)
         self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
                        for row in products]
         self.mask = [[pow(ct.c1, e, p) * pad.h_k % p for ct, pad in zip(row, pads, strict=True)]
                      for row in products]
 
-    def check(self, products: list[list[Ciphertext]], pads: list[Pad], p: int) -> None:
-        """Raise ReplyIntegrityError unless every c1 is c1(Phi_ij) times this step's g^k."""
-        for i, (row, c1_row) in enumerate(zip(products, self.c1_phi, strict=True)):
-            for j, (ct, c1_phi, pad) in enumerate(zip(row, c1_row, pads, strict=True)):
-                if ct.c1 != c1_phi * pad.g_k % p:
-                    raise ReplyIntegrityError(
-                        f"product ({i+1},{j+1}): c1 is not Enc(Phi)'s c1 times this step's "
-                        f"g^k; the reply was altered or replayed")
+    def prepare(self, pads: list[Pad], p: int, zero_mask=None) -> Prepared:
+        """The step's expected c1 rows and, for the entries `zero_mask` leaves, its factors."""
+        g_k, _, h_inv_k = zip(*pads)
+        c1 = tuple([tuple([c * g % p for c, g in zip(row, g_k, strict=True)])
+                    for row in self.c1_phi])
+        factors = [[(j, row[j] * h_inv_k[j] % p) for j in _columns(zero_mask, i, len(row))]
+                   for i, row in enumerate(self.mask)]
+        return Prepared(c1, factors)
+
+
+def _power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys, zero_mask) -> Prepared:
+    """Decryption by powers: each factor is c1^(p-1-s), one power per product decrypted."""
+    p, e = keys.p, keys.p - 1 - keys.s
+    factors = []
+    for i, row in enumerate(products):
+        _check_in_group([ct.c1 for ct in row], i, "c1", p)  # c1 = 0 has no inverse
+        factors.append([(j, pow(row[j].c1, e, p)) for j in _columns(zero_mask, i, len(row))])
+    return Prepared(None, factors)
 
 
 def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
              keys: ElGamalKeys, bounds=None, zero_mask=None, *,
-             pads: list[Pad] | None = None, masks: PhiMasks | None = None) -> list[float]:
+             pads: list[Pad] | None = None, masks: PhiMasks | None = None,
+             prepared: Prepared | None = None) -> list[float]:
     """Decrypt and decode every product, then sum each row in plaintext.
 
     Summation is left-to-right by column index for determinism. When the
     per-entry `bounds` from the overflow guard are supplied, any decoded
     product outside its bound aborts: that can only happen through modular
-    wraparound, i.e. a scale misconfiguration. A product whose c2 is outside
-    [1, p) raises ReplyIntegrityError: no honest reply holds one.
+    wraparound, i.e. a scale misconfiguration. A product whose c1 or c2 is
+    outside [1, p) raises ReplyIntegrityError: no honest reply holds one.
 
     `zero_mask[i][j]` marks matrix entries that are exactly zero but were
     encoded as the 1-substitute (the group cannot represent zero). Their
@@ -464,35 +511,41 @@ def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
     standing tracking offset. The mask is device-side knowledge: the device
     holds the secret key and assembled Enc(Phi) in the first place.
 
-    With the `pads` the step's xi was encrypted with, and the session's
-    `masks`, a product decrypts as c2 mask_ij h^-k: two multiplications. The
-    first such call learns the masks; every later one first checks each
-    product's c1 (ReplyIntegrityError). The result is the same either way.
+    With the `pads` the step's xi was encrypted with and the session's
+    `masks`, Dec+ decrypts with `masks.prepare(pads, p, zero_mask)`, after
+    learning the masks on the first such call, and every product's c1 must
+    equal the prepared one (ReplyIntegrityError names the first that does
+    not). `prepared` is that result made ahead, before the reply arrived:
+    then each product decrypts in one multiplication. Without pads each
+    product decrypts by one power. The result is the same either way.
     """
     if keys.s is None:
         raise ValueError("secret exponent required for decryption")
     p = keys.p
-    if pads is not None:
-        if masks.mask is None:
-            masks.learn(products, pads, keys)
+    if prepared is None:
+        if pads is None:
+            prepared = _power_factors(products, keys, zero_mask)
         else:
-            masks.check(products, pads, p)
+            if masks.mask is None:
+                masks.learn(products, pads, keys)
+            prepared = masks.prepare(pads, p, zero_mask)
+    expected, factors = prepared
+    c2_rows = []
+    for i, row in enumerate(products):  # the whole reply is checked before any product is decoded
+        c1s, c2s = zip(*row)
+        if expected is not None and c1s != expected[i]:
+            j = next(j for j, (c1, want) in enumerate(zip(c1s, expected[i])) if c1 != want)
+            raise ReplyIntegrityError(
+                f"product ({i+1},{j+1}): c1 is not Enc(Phi)'s c1 times this step's "
+                f"g^k; the reply was altered or replayed")
+        _check_in_group(c2s, i, "c2", p)
+        c2_rows.append(c2s)
     combined = params.delta_xi * params.delta_phi
     psi = []
-    for i, row in enumerate(products):
+    for i, (c2s, row_factors) in enumerate(zip(c2_rows, factors, strict=True)):
         total = 0.0
-        for j, ct in enumerate(row):
-            if zero_mask is not None and zero_mask[i][j]:
-                continue
-            c2 = ct.c2
-            if not 0 < c2 < p:
-                raise ReplyIntegrityError(
-                    f"product ({i+1},{j+1}): c2 = {c2} is outside [1, p); the reply was altered")
-            if pads is None:
-                m = decrypt(ct, keys)
-            else:
-                m = c2 * masks.mask[i][j] * pads[j].h_inv_k % p
-            val = decode(m, combined, p)
+        for j, factor in row_factors:
+            val = decode(c2s[j] * factor % p, combined, p)
             if bounds is not None and abs(val) > bounds[i][j] * (1.0 + 1e-12):
                 raise DecodeOverflowError(
                     f"decoded product ({i+1},{j+1}) = {val!r} exceeds its bound "

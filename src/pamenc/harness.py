@@ -28,6 +28,7 @@ from .crypto import (
     FixedBase,
     Pad,
     PhiMasks,
+    Prepared,
     check_overflow_guard,
     dec_plus,
     draw_pads,
@@ -235,12 +236,15 @@ class EncryptedController(MatrixController):
     No modular power runs in a step after the first. `refill`, called
     between steps, draws the next step's 18 nonce pads from the fixed-base
     tables of g and h built here (`crypto.FixedBase`) with one modular
-    inverse and no power; a step that finds none draws them itself, and no
-    pad serves two steps. Online, encrypting is one multiplication per entry
-    and Dec+ two per product, with the masks learned from the first reply
-    (`crypto.PhiMasks`, the same in both modes); that first reply is
-    decrypted with powers. A later reply whose c1 does not match, or any
-    reply with a c2 outside [1, p), raises `crypto.ReplyIntegrityError`.
+    inverse and no power. Once the session masks are learned from the first
+    reply (`crypto.PhiMasks`, the same in both modes; that reply is
+    decrypted with powers), it also prepares the step's Dec+: the 90 c1 the
+    reply must carry and one decryption factor per nonzero Phi entry. A step
+    that finds no refill makes its own, and no pad serves two steps. Online,
+    encrypting is one multiplication per entry and Dec+ one list compare per
+    row and one multiplication per product. A later reply whose c1 does not
+    match, or any reply with a c1 or c2 outside [1, p), raises
+    `crypto.ReplyIntegrityError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -260,29 +264,35 @@ class EncryptedController(MatrixController):
                         if session is None else None)  # else the service holds Enc(Phi)
         self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
         self.masks = PhiMasks()
-        self._pads: list[Pad] | None = None  # the next step's, until it takes them
+        # the next step's pads and prepared Dec+ (None before the masks), until it takes them
+        self._ready: tuple[list[Pad], Prepared | None] | None = None
         self.last_plain_psi: np.ndarray | None = None
 
     def refill(self) -> None:
-        """Offline work: draw the next step's nonce pads unless unused ones wait."""
-        if self._pads is None:
-            self._pads = draw_pads(18, self.keys, self.rng, self.tables)
+        """Offline work: the next step's nonce pads and, once the masks are
+        learned, its prepared Dec+, unless unused ones wait."""
+        if self._ready is None:
+            pads = draw_pads(18, self.keys, self.rng, self.tables)
+            prepared = (self.masks.prepare(pads, self.keys.p, self.zero_mask)
+                        if self.masks.mask is not None else None)
+            self._ready = pads, prepared
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
-        for j, (v, bound) in enumerate(zip(xi, self.encoding.xi_bounds)):
+        xs = xi.tolist()
+        for j, (v, bound) in enumerate(zip(xs, self.encoding.xi_bounds)):
             if abs(v) > bound:
                 raise OverflowError(
                     f"xi_{j+1} = {v!r} exceeds its declared bound {bound!r}")
-        if self._pads is None:  # no refill since the last step
+        if self._ready is None:  # no refill since the last step
             self.refill()
-        pads, self._pads = self._pads, None  # no pad serves two steps
-        enc_xi = enc_vector(xi, self.encoding.delta_xi, self.keys, pads=pads)
+        (pads, prepared), self._ready = self._ready, None  # no pad serves two steps
+        enc_xi = enc_vector(xs, self.encoding.delta_xi, self.keys, pads=pads)
         if self.session is not None:
             products = self.session.eval(enc_xi)
         else:
             products = enc_eval(self.enc_phi, enc_xi, self.keys.p)
-        psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds,
-                                self.zero_mask, pads=pads, masks=self.masks))
+        psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds, self.zero_mask,
+                                pads=pads, masks=self.masks, prepared=prepared))
         self.last_plain_psi = poly_step(self.phi, xi)
         return psi
 

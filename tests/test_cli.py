@@ -211,6 +211,25 @@ class TestServeIntegration:
         err = capsys.readouterr().err
         assert "altered or replayed" in err and len(err.splitlines()) == 1
 
+    def test_first_reply_c1_of_zero_exits_runtime(self, workspace, short_profile, tmp_path,
+                                                  capsys, monkeypatch):
+        from pamenc import ControllerService, Drbg, EncodingParams, crypto, enc_matrix, service
+
+        # a service whose first reply carries c1 = 0 on product (4,10)
+        def zeroing_enc_eval(enc_phi, enc_xi, p):
+            products = crypto.enc_eval(enc_phi, enc_xi, p)
+            products[3][9] = products[3][9]._replace(c1=0)
+            return products
+
+        monkeypatch.setattr(service, "enc_eval", zeroing_enc_eval)
+        keys = load_keys(workspace / "key.sec")
+        enc_phi = enc_matrix(load_phi(workspace / "phi.csv"), EncodingParams(), keys, Drbg(None))
+        with ControllerService(enc_phi, keys.p) as svc:
+            rc = _simulate_connected(workspace, short_profile, tmp_path, svc.address)
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "product (4,10): c1 = 0 is outside [1, p)" in err and len(err.splitlines()) == 1
+
     def test_closed_connection_exits_runtime(self, workspace, short_profile, tmp_path):
         # a peer that accepts and hangs up at once
         listener = socket.create_server(("127.0.0.1", 0))

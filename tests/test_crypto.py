@@ -442,19 +442,21 @@ class TestOnlineDecPlus:
     def session(self, keys64, phi):
         return self._session(keys64, phi)
 
-    def _step(self, s, keys, xi):
-        pads = draw_pads(18, keys, s["rng"], s["tables"])
+    def _sessions(self, session, keys64, phi):
+        """The 64-bit session and new ones at 128 and 256 bits."""
+        return [(session, keys64)] + [(self._session(keys, phi), keys) for keys in
+                                      (keygen(bits=bits, seed=bits) for bits in (128, 256))]
+
+    def _step(self, s, keys, xi, pads=None):
+        if pads is None:
+            pads = draw_pads(18, keys, s["rng"], s["tables"])
         products = enc_eval(s["enc_phi"], enc_vector(xi, s["enc"].delta_xi, keys, pads=pads),
                             keys.p)
         return products, pads
 
     def test_matches_decryption_by_powers(self, session, keys64, phi):
         np_rng = np.random.default_rng(22)
-        sessions = [(session, keys64)]
-        for bits in (128, 256):
-            keys = keygen(bits=bits, seed=bits)
-            sessions.append((self._session(keys, phi), keys))
-        for s, keys in sessions:
+        for s, keys in self._sessions(session, keys64, phi):
             for _ in range(6):
                 xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
                 products, pads = self._step(s, keys, xi)
@@ -491,6 +493,60 @@ class TestOnlineDecPlus:
         with pytest.raises(ReplyIntegrityError, match=re.escape(named)):
             dec_plus(products, *args, pads=pads, masks=session["masks"])
 
+    def test_prepared_before_the_reply_matches_decryption_by_powers(self, session, keys64, phi):
+        np_rng = np.random.default_rng(23)
+        for s, keys in self._sessions(session, keys64, phi):
+            first, pads = self._step(s, keys, np.full(18, 0.1))
+            s["masks"].learn(first, pads, keys)
+            for _ in range(6):
+                pads = draw_pads(18, keys, s["rng"], s["tables"])
+                prepared = s["masks"].prepare(pads, keys.p, s["zero_mask"])  # no reply yet
+                xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
+                products, _ = self._step(s, keys, xi, pads)
+                args = (products, s["enc"], keys, s["bounds"], s["zero_mask"])
+                assert dec_plus(*args, prepared=prepared) == dec_plus(*args)
+
+    def test_prepare_skips_the_zero_entries(self, session, keys64, phi):
+        first, pads = self._step(session, keys64, np.full(18, 0.1))
+        session["masks"].learn(first, pads, keys64)
+        prepared = session["masks"].prepare(pads, keys64.p, session["zero_mask"])
+        assert [len(row) for row in prepared.c1] == [18] * 5
+        assert sum(len(row) for row in prepared.factors) == int(np.count_nonzero(phi)) == 71
+        assert prepared.c1 == tuple(tuple(ct.c1 for ct in row) for row in first)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("learned", [True, False], ids=["masks", "powers"])
+    def test_c2_outside_the_group_on_a_zero_entry_is_named(self, learned, step, session, keys64):
+        # Phi[0][0] is 0: Dec+ skips its product, but its c2 is still range-checked
+        assert session["zero_mask"][0][0]
+        args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
+
+        def kw(pads):
+            return dict(pads=pads, masks=session["masks"]) if learned else {}
+
+        xi = np.full(18, 0.1)
+        if step == 2:  # an honest first step
+            products, pads = self._step(session, keys64, xi)
+            dec_plus(products, *args, **kw(pads))
+        products, pads = self._step(session, keys64, xi)
+        products[0][0] = products[0][0]._replace(c2=0)
+        with pytest.raises(ReplyIntegrityError, match=r"product \(1,1\): c2 = 0 is outside"):
+            dec_plus(products, *args, **kw(pads))
+
+    @pytest.mark.parametrize("c1_of", [lambda c1, p: 0, lambda c1, p: c1 + p],
+                             ids=["zero", "plus-p"])
+    @pytest.mark.parametrize("learned", [True, False], ids=["masks", "powers"])
+    def test_first_reply_c1_outside_the_group_is_named(self, learned, c1_of, session, keys64):
+        # c1 = 0 used to learn a mask of 0 and end in decode's bare ValueError
+        products, pads = self._step(session, keys64, np.full(18, 0.1))
+        ct = products[3][9]
+        products[3][9] = ct._replace(c1=c1_of(ct.c1, keys64.p))
+        kw = dict(pads=pads, masks=session["masks"]) if learned else {}
+        with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = \d+ is outside"):
+            dec_plus(products, session["enc"], keys64, session["bounds"], session["zero_mask"],
+                     **kw)
+        assert session["masks"].mask is None  # nothing learned from the bad reply
+
 
 class TestDrbg:
     def test_deterministic_stream(self):
@@ -512,6 +568,23 @@ class TestDrbg:
         state = hashlib.sha256(b"pamenc-drbg:" + seed.to_bytes(32, "big")).digest()
         want = hashlib.sha256(state + (0).to_bytes(8, "big")).digest()
         assert Drbg(seed).randbytes(32) == want
+
+    def test_one_block_requests_match_the_block_loop(self):
+        # the stream as a loop over whole SHA-256 blocks produces it, for any request sizes
+        def loop_stream(seed, sizes):
+            state = hashlib.sha256(b"pamenc-drbg:" + seed.to_bytes(32, "big")).digest()
+            counter, out = 0, []
+            for n in sizes:
+                buf = bytearray()
+                while len(buf) < n:
+                    buf.extend(hashlib.sha256(state + counter.to_bytes(8, "big")).digest())
+                    counter += 1
+                out.append(bytes(buf[:n]))
+            return out
+
+        sizes = [1, 8, 31, 32, 33, 100, 0, 8, 32, 1]
+        rng = Drbg(9)
+        assert [rng.randbytes(n) for n in sizes] == loop_stream(9, sizes)
 
     def test_seed_above_2_256(self):
         assert Drbg(2**300).randbytes(32) != Drbg(2**300 + 1).randbytes(32)

@@ -399,6 +399,69 @@ class TestOnlineOffline:
                             on_step=lambda k, c: seen.append(k))
         assert len(seen) == step - 1
 
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_c2_outside_the_group_on_a_zero_entry_is_named(self, step, phi, keys, enc_phi,
+                                                           short_profile):
+        # Phi[0][0] is 0, so Dec+ skips product (1,1); a c2 of 0 there used to pass
+        assert phi[0][0] == 0.0
+
+        def tamper(k, prods, _):
+            if k == step:
+                prods[0][0] = prods[0][0]._replace(c2=0)
+            return prods
+
+        seen = []
+        with pytest.raises(ReplyIntegrityError, match=r"product \(1,1\): c2 = 0 is outside"):
+            run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
+                            session=FakeSession(enc_phi, keys.p, tamper),
+                            on_step=lambda k, c: seen.append(k))
+        assert len(seen) == step - 1
+
+    def test_first_reply_c1_of_zero_is_named(self, phi, keys, enc_phi, short_profile):
+        # it used to learn a mask of 0 and end in decode's bare ValueError
+        def tamper(k, prods, _):
+            if k == 1:
+                prods[3][9] = prods[3][9]._replace(c1=0)
+            return prods
+
+        with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = 0 is outside"):
+            run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
+                            session=FakeSession(enc_phi, keys.p, tamper))
+
+    def test_refill_prepares_dec_plus_outside_the_step(self, phi, keys, enc_phi, monkeypatch):
+        in_psi, prepared_in_psi = [], []
+        psi, prepare = EncryptedController.psi, crypto.PhiMasks.prepare
+
+        def marking_psi(self, xi):
+            in_psi.append(True)
+            try:
+                return psi(self, xi)
+            finally:
+                in_psi.pop()
+
+        def recording_prepare(self, *args):
+            prepared_in_psi.append(bool(in_psi))
+            return prepare(self, *args)
+
+        monkeypatch.setattr(EncryptedController, "psi", marking_psi)
+        monkeypatch.setattr(crypto.PhiMasks, "prepare", recording_prepare)
+        session = FakeSession(enc_phi, keys.p,
+                              lambda k, prods, replies: replies[0] if k == 5 else prods)
+        ctl = EncryptedController(phi, keys, nonce_seed=3, session=session)
+        devs = []
+        for refill in (True, True, True, False):  # the last step finds no refill
+            if refill:
+                ctl.refill()
+            ctl.step(ZIN)
+            devs.append(float(np.max(np.abs(ctl.last_psi - ctl.last_plain_psi))))
+        # the first refill precedes the masks, so step 1 learns them and prepares inline
+        assert prepared_in_psi == [True, False, False, True]
+        assert max(devs) <= 1e-4
+        ctl.refill()
+        with pytest.raises(ReplyIntegrityError, match="altered or replayed"):
+            ctl.step(ZIN)  # step 1's reply to step 5's request
+        assert prepared_in_psi[-1] is False
+
     def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
         trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
                                 warmup=2.0, measure_time=True)
