@@ -13,10 +13,12 @@ encrypting it is one multiplication. Drawing the pads runs no power either:
 g and h are fixed for the session, so g^k and h^k are products of rows of a
 precomputed `FixedBase` table, and all the h^-k come from one modular
 inverse (`_inverses`). Every product has c1 = c1(Phi_ij) g^k, so
-c1(Phi_ij)^-s is fixed for the session: `PhiMasks` learns it from the first
-reply. After that every nonce-dependent factor of a step's Dec+ is known
-before its reply arrives, and `PhiMasks.prepare` computes them between
-steps: the expected c1(Phi_ij) g^k and the decryption factor
+c1(Phi_ij)^-s is fixed for the session. Step 1 decrypts its reply by
+powers (`power_factors`, one per nonzero entry of Phi), and `PhiMasks`
+turns each of those factors c1^-s into the session mask c1(Phi_ij)^-s with
+one multiplication. After that every nonce-dependent factor of a step's
+Dec+ is known before its reply arrives, and `PhiMasks.prepare` computes
+them between steps: the expected c1(Phi_ij) g^k and the decryption factor
 c1(Phi_ij)^-s h^-k. Online, Dec+ compares each row of c1 as one list and
 decrypts a product in one multiplication.
 
@@ -75,16 +77,11 @@ class Drbg:
     def randbytes(self, n: int) -> bytes:
         if self._state is None:
             return secrets.token_bytes(n)
-        if 0 < n <= 32:  # one SHA-256 block, as for every nonce up to 256 bits
-            block = hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
+        out = b""
+        while len(out) < n:  # whole SHA-256 blocks, one per counter value
+            out += hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
             self._counter += 1
-            return block[:n]
-        out = bytearray()
-        while len(out) < n:
-            block = hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
-            out.extend(block)
-        return bytes(out[:n])
+        return out[:n]
 
     def randbits(self, k: int) -> int:
         nbytes = (k + 7) // 8
@@ -269,6 +266,16 @@ class OverflowGuardError(ValueError):
     pass
 
 
+def check_finite(phi) -> None:
+    """Raise ValueError naming Phi's first non-finite entry (1-based, row-major)."""
+    import numpy as np
+
+    bad = np.argwhere(~np.isfinite(phi))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"Phi[{i+1}][{j+1}] = {phi[i][j]} is not finite")
+
+
 def check_overflow_guard(params: EncodingParams, phi, p: int):
     """Validate that every Phi[i][j]*xi[j] product stays inside (-p/2, p/2).
 
@@ -281,6 +288,7 @@ def check_overflow_guard(params: EncodingParams, phi, p: int):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (5, 18):
         raise ValueError("Phi must be 5x18")
+    check_finite(phi)  # a NaN would pass the comparison below
     bounds = np.empty_like(phi)
     for i in range(5):
         for j in range(18):
@@ -433,11 +441,6 @@ class Prepared(NamedTuple):
     factors: list[list[tuple[int, int]]]
 
 
-def _columns(zero_mask, i: int, n: int):
-    """Row i's columns that Dec+ decrypts: all but the zero entries of Phi."""
-    return range(n) if zero_mask is None else [j for j, zero in enumerate(zero_mask[i]) if not zero]
-
-
 def _check_in_group(values, i: int, name: str, p: int) -> None:
     """Raise ReplyIntegrityError naming the first of row i's values outside [1, p)."""
     if min(values) < 1 or max(values) >= p:
@@ -446,56 +449,61 @@ def _check_in_group(values, i: int, name: str, p: int) -> None:
             f"product ({i+1},{j+1}): {name} = {values[j]} is outside [1, p); the reply was altered")
 
 
-class PhiMasks:
-    """What Dec+ learns from a session's first reply, to decrypt later ones without a power.
+def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
+                  zero_mask=None) -> Prepared:
+    """Decryption by powers: a factor c1^(p-1-s) = c1^-s, one power, per product decrypted.
 
-    Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
-    and c1^-s = mask_ij h^-k with mask_ij = c1(Phi_ij)^-s, both fixed for the
-    session. `learn` derives the two 5x18 tables from one reply and its pads
-    (90 powers, one batch inverse). `prepare` turns them and a step's pads
-    into that step's `Prepared` before its reply arrives: the 90 expected c1
-    and a factor mask_ij h^-k for each nonzero entry, multiplications only.
+    These are the products of all but the exact-zero entries of Phi.
+    `zero_mask[i][j]` marks an entry that is exactly zero but was encoded as
+    the 1-substitute (the group cannot represent zero). Its true
+    contribution is zero, so its product is not decrypted. Without this the
+    substitution residue (xi_j/delta_phi per zero entry) accumulates through
+    the integrator state rows into a standing tracking offset. The mask is
+    device-side knowledge: the device holds the secret key and assembled
+    Enc(Phi) in the first place. Without a mask every product is decrypted.
+    A c1 outside [1, p) raises ReplyIntegrityError: 0 has no inverse.
     """
-
-    def __init__(self):
-        self.c1_phi: list[list[int]] | None = None
-        self.mask: list[list[int]] | None = None
-
-    def learn(self, products: list[list[Ciphertext]], pads: list[Pad], keys: ElGamalKeys) -> None:
-        p, e = keys.p, keys.p - 1 - keys.s
-        for i, row in enumerate(products):
-            _check_in_group([ct.c1 for ct in row], i, "c1", p)  # a c1 of 0 would learn a mask of 0
-        g_inv_k = _inverses([pad.g_k for pad in pads], p)
-        self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
-                       for row in products]
-        self.mask = [[pow(ct.c1, e, p) * pad.h_k % p for ct, pad in zip(row, pads, strict=True)]
-                     for row in products]
-
-    def prepare(self, pads: list[Pad], p: int, zero_mask=None) -> Prepared:
-        """The step's expected c1 rows and, for the entries `zero_mask` leaves, its factors."""
-        g_k, _, h_inv_k = zip(*pads)
-        c1 = tuple([tuple([c * g % p for c, g in zip(row, g_k, strict=True)])
-                    for row in self.c1_phi])
-        factors = [[(j, row[j] * h_inv_k[j] % p) for j in _columns(zero_mask, i, len(row))]
-                   for i, row in enumerate(self.mask)]
-        return Prepared(c1, factors)
-
-
-def _power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys, zero_mask) -> Prepared:
-    """Decryption by powers: each factor is c1^(p-1-s), one power per product decrypted."""
     p, e = keys.p, keys.p - 1 - keys.s
     factors = []
     for i, row in enumerate(products):
-        _check_in_group([ct.c1 for ct in row], i, "c1", p)  # c1 = 0 has no inverse
-        factors.append([(j, pow(row[j].c1, e, p)) for j in _columns(zero_mask, i, len(row))])
+        _check_in_group([ct.c1 for ct in row], i, "c1", p)
+        factors.append([(j, pow(ct.c1, e, p)) for j, ct in enumerate(row)
+                        if zero_mask is None or not zero_mask[i][j]])
     return Prepared(None, factors)
 
 
+class PhiMasks:
+    """Dec+'s session constants, learned from step 1's decryption by powers.
+
+    Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
+    and c1^-s = mask_ij h^-k, where c1(Phi_ij) and mask_ij = c1(Phi_ij)^-s
+    are fixed for the session. Step 1 decrypts by powers, `first =
+    power_factors(...)`, so each factor it holds is c1_ij^-s and mask_ij is
+    that factor times h^k: one multiplication per product Dec+ decrypts,
+    kept in the same (j, value) rows. c1(Phi) takes one batch inverse of the
+    18 g^k. `prepare` turns the masks and a step's pads into that step's
+    `Prepared` before its reply arrives: the 90 expected c1 and one factor
+    mask_ij h^-k per mask, multiplications only.
+    """
+
+    def __init__(self, products: list[list[Ciphertext]], pads: list[Pad], first: Prepared, p: int):
+        g_inv_k = _inverses([pad.g_k for pad in pads], p)
+        self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
+                       for row in products]
+        self.mask = [[(j, f * pads[j].h_k % p) for j, f in row] for row in first.factors]
+
+    def prepare(self, pads: list[Pad], p: int) -> Prepared:
+        """The step's expected c1 rows and decryption factors."""
+        g_k, _, h_inv_k = zip(*pads)
+        c1 = tuple([tuple([c * g % p for c, g in zip(row, g_k, strict=True)])
+                    for row in self.c1_phi])
+        factors = [[(j, m * h_inv_k[j] % p) for j, m in row] for row in self.mask]
+        return Prepared(c1, factors)
+
+
 def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
-             keys: ElGamalKeys, bounds=None, zero_mask=None, *,
-             pads: list[Pad] | None = None, masks: PhiMasks | None = None,
-             prepared: Prepared | None = None) -> list[float]:
-    """Decrypt and decode every product, then sum each row in plaintext.
+             keys: ElGamalKeys, bounds=None, *, prepared: Prepared | None = None) -> list[float]:
+    """Decrypt and decode the products, then sum each row in plaintext.
 
     Summation is left-to-right by column index for determinism. When the
     per-entry `bounds` from the overflow guard are supplied, any decoded
@@ -503,33 +511,16 @@ def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
     wraparound, i.e. a scale misconfiguration. A product whose c1 or c2 is
     outside [1, p) raises ReplyIntegrityError: no honest reply holds one.
 
-    `zero_mask[i][j]` marks matrix entries that are exactly zero but were
-    encoded as the 1-substitute (the group cannot represent zero). Their
-    true contribution is zero, so their products are skipped before
-    decryption. Without this the substitution residue (xi_j/delta_phi per
-    zero entry) accumulates through the integrator state rows into a
-    standing tracking offset. The mask is device-side knowledge: the device
-    holds the secret key and assembled Enc(Phi) in the first place.
-
-    With the `pads` the step's xi was encrypted with and the session's
-    `masks`, Dec+ decrypts with `masks.prepare(pads, p, zero_mask)`, after
-    learning the masks on the first such call, and every product's c1 must
-    equal the prepared one (ReplyIntegrityError names the first that does
-    not). `prepared` is that result made ahead, before the reply arrived:
-    then each product decrypts in one multiplication. Without pads each
-    product decrypts by one power. The result is the same either way.
+    Dec+ decrypts the products `prepared` has factors for, by one
+    multiplication each. Made ahead by `PhiMasks.prepare`, it also holds the
+    c1 every product must carry, and ReplyIntegrityError names the first
+    that does not. Without `prepared` every product is decrypted by powers
+    (`power_factors` with no zero mask).
     """
     if keys.s is None:
         raise ValueError("secret exponent required for decryption")
     p = keys.p
-    if prepared is None:
-        if pads is None:
-            prepared = _power_factors(products, keys, zero_mask)
-        else:
-            if masks.mask is None:
-                masks.learn(products, pads, keys)
-            prepared = masks.prepare(pads, p, zero_mask)
-    expected, factors = prepared
+    expected, factors = power_factors(products, keys) if prepared is None else prepared
     c2_rows = []
     for i, row in enumerate(products):  # the whole reply is checked before any product is decoded
         c1s, c2s = zip(*row)

@@ -29,12 +29,14 @@ from .crypto import (
     Pad,
     PhiMasks,
     Prepared,
+    check_finite,
     check_overflow_guard,
     dec_plus,
     draw_pads,
     enc_eval,
     enc_matrix,
     enc_vector,
+    power_factors,
 )
 from .pam import PlantState, measured_stiffness, plant_step
 from .params import (
@@ -205,6 +207,7 @@ class MatrixController:
 
     def __init__(self, phi: np.ndarray):
         self.phi = np.asarray(phi, dtype=float)
+        check_finite(self.phi)
         self.state = ControllerState()
         self.last_xi: np.ndarray | None = None
         self.last_psi: np.ndarray | None = None
@@ -236,15 +239,16 @@ class EncryptedController(MatrixController):
     No modular power runs in a step after the first. `refill`, called
     between steps, draws the next step's 18 nonce pads from the fixed-base
     tables of g and h built here (`crypto.FixedBase`) with one modular
-    inverse and no power. Once the session masks are learned from the first
-    reply (`crypto.PhiMasks`, the same in both modes; that reply is
-    decrypted with powers), it also prepares the step's Dec+: the 90 c1 the
-    reply must carry and one decryption factor per nonzero Phi entry. A step
-    that finds no refill makes its own, and no pad serves two steps. Online,
-    encrypting is one multiplication per entry and Dec+ one list compare per
-    row and one multiplication per product. A later reply whose c1 does not
-    match, or any reply with a c1 or c2 outside [1, p), raises
-    `crypto.ReplyIntegrityError`.
+    inverse and no power. Step 1 decrypts its reply by powers, one per
+    nonzero Phi entry (`crypto.power_factors`), and learns the session
+    masks from those factors and its pads (`crypto.PhiMasks`, the same in
+    both modes). From then on the refill also prepares each step's Dec+:
+    the 90 c1 the reply must carry and one decryption factor per nonzero
+    Phi entry. A step that finds no refill makes its own, and no pad serves
+    two steps. Online, encrypting is one multiplication per entry and Dec+
+    one list compare per row and one multiplication per product. A later
+    reply whose c1 does not match, or any reply with a c1 or c2 outside
+    [1, p), raises `crypto.ReplyIntegrityError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -263,7 +267,7 @@ class EncryptedController(MatrixController):
         self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng)
                         if session is None else None)  # else the service holds Enc(Phi)
         self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
-        self.masks = PhiMasks()
+        self.masks: PhiMasks | None = None  # learned on step 1
         # the next step's pads and prepared Dec+ (None before the masks), until it takes them
         self._ready: tuple[list[Pad], Prepared | None] | None = None
         self.last_plain_psi: np.ndarray | None = None
@@ -273,9 +277,8 @@ class EncryptedController(MatrixController):
         learned, its prepared Dec+, unless unused ones wait."""
         if self._ready is None:
             pads = draw_pads(18, self.keys, self.rng, self.tables)
-            prepared = (self.masks.prepare(pads, self.keys.p, self.zero_mask)
-                        if self.masks.mask is not None else None)
-            self._ready = pads, prepared
+            self._ready = pads, (None if self.masks is None
+                                 else self.masks.prepare(pads, self.keys.p))
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
         xs = xi.tolist()
@@ -291,8 +294,11 @@ class EncryptedController(MatrixController):
             products = self.session.eval(enc_xi)
         else:
             products = enc_eval(self.enc_phi, enc_xi, self.keys.p)
-        psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds, self.zero_mask,
-                                pads=pads, masks=self.masks, prepared=prepared))
+        if prepared is None:  # step 1: decrypt by powers, and learn the masks from its factors
+            prepared = power_factors(products, self.keys, self.zero_mask)
+            self.masks = PhiMasks(products, pads, prepared, self.keys.p)
+        psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds,
+                                prepared=prepared))
         self.last_plain_psi = poly_step(self.phi, xi)
         return psi
 

@@ -73,6 +73,19 @@ class TestSimulate:
                    "--warmup", "2", "--verbose-xi", "--out", str(tmp_path / "t.csv")])
         assert rc == EXIT_BAD_COMBINATION
 
+    @pytest.mark.parametrize("mode", ["approx", "encrypted"])
+    def test_non_finite_phi_exits_runtime(self, mode, workspace, short_profile, tmp_path, capsys):
+        # a NaN entry used to run approx with u1 = nan and end encrypted in a bare int(NaN) error
+        phi = load_phi(workspace / "phi.csv")
+        phi[3][5] = np.nan
+        np.savetxt(tmp_path / "phi.csv", phi, delimiter=",")
+        rc = main(["simulate", "--mode", mode, "--profile", str(short_profile), "--warmup", "2",
+                   "--phi", str(tmp_path / "phi.csv"), "--keys", str(workspace / "key.sec"),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_RUNTIME
+        assert "Phi[4][6] = nan is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--mode", "approx", "--profile", "ref2",
                    "--phi", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "t.csv")])

@@ -41,7 +41,9 @@ from pamenc.crypto import (
     ReplyIntegrityError,
     _inverses,
     draw_pads,
+    find_session_key,
     is_probable_prime,
+    power_factors,
 )
 
 
@@ -355,6 +357,18 @@ class TestMatrixPipeline:
         with pytest.raises(OverflowGuardError):
             check_overflow_guard(EncodingParams(), phi, small.p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_overflow_guard_names_a_non_finite_entry(self, bad, keys64, phi):
+        # a NaN used to pass (2*m_phi*m_xi >= p is False) and return a NaN bound
+        phi = phi.copy()
+        phi[3][5] = bad
+        phi[4][0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"Phi[4][6] = {bad} is not finite")) as exc:
+            check_overflow_guard(EncodingParams(), phi, keys64.p)
+        assert not isinstance(exc.value, OverflowGuardError)  # so no key search retries it
+        with pytest.raises(ValueError, match=re.escape("Phi[4][6]")):
+            find_session_key(phi, bits=64, seed=0)
+
     def test_column_broadcast(self, keys64, phi):
         enc = EncodingParams()
         rng = Drbg(7)
@@ -395,8 +409,9 @@ class TestMatrixPipeline:
         xi = np.zeros(18)
         xi[0] = 6.0
         enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
-        psi = dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64,
-                       zero_mask=(phi == 0.0))
+        products = enc_eval(enc_phi, enc_xi, keys64.p)
+        psi = dec_plus(products, enc, keys64,
+                       prepared=power_factors(products, keys64, phi == 0.0))
         # the 17 zero xi entries encode as 1, costing up to sum|phi_i|/delta_xi per row
         tol = np.sum(np.abs(phi), axis=1) / enc.delta_xi + 1e-6
         assert np.all(np.abs(np.array(psi) - phi[:, 0] * 6.0) <= tol)
@@ -410,8 +425,9 @@ class TestMatrixPipeline:
         enc_phi = enc_matrix(ident, enc, keys64, rng)
         xi = np.linspace(0.5, 9.0, 18)
         enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
-        psi = dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64,
-                       zero_mask=(ident == 0.0))
+        products = enc_eval(enc_phi, enc_xi, keys64.p)
+        psi = dec_plus(products, enc, keys64,
+                       prepared=power_factors(products, keys64, ident == 0.0))
         assert np.array(psi) == pytest.approx(xi[:5], abs=1e-6)
 
     def test_decode_overflow_detected(self, keys64):
@@ -428,7 +444,7 @@ class TestMatrixPipeline:
 
 
 class TestOnlineDecPlus:
-    """Pads and session masks: the same psi as decryption by powers, with c1 checked."""
+    """Session masks learned on step 1: the same psi as decryption by powers, with c1 checked."""
 
     @staticmethod
     def _session(keys, phi):
@@ -436,7 +452,7 @@ class TestOnlineDecPlus:
         rng = Drbg(21)
         return dict(enc=enc, rng=rng, enc_phi=enc_matrix(phi, enc, keys, rng),
                     bounds=check_overflow_guard(enc, phi, keys.p), zero_mask=phi == 0.0,
-                    masks=PhiMasks(), tables=(FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p)))
+                    masks=None, tables=(FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p)))
 
     @pytest.fixture()
     def session(self, keys64, phi):
@@ -454,27 +470,46 @@ class TestOnlineDecPlus:
                             keys.p)
         return products, pads
 
+    @staticmethod
+    def _dec(s, keys, products, prepared=None):
+        return dec_plus(products, s["enc"], keys, s["bounds"], prepared=prepared)
+
+    def _first(self, s, keys, products, pads):
+        """Step 1 as the controller runs it: Dec+ by powers, then the masks from its factors."""
+        prepared = power_factors(products, keys, s["zero_mask"])
+        s["masks"] = PhiMasks(products, pads, prepared, keys.p)
+        return self._dec(s, keys, products, prepared)
+
+    def _by_powers(self, s, keys, products):
+        return self._dec(s, keys, products, power_factors(products, keys, s["zero_mask"]))
+
+    def _learned(self, s, keys):
+        """A session after an honest step 1, and the pads and products of step 2."""
+        first, pads = self._step(s, keys, np.full(18, 0.1))
+        self._first(s, keys, first, pads)
+        products, pads = self._step(s, keys, np.full(18, 0.1))
+        return first, products, s["masks"].prepare(pads, keys.p)
+
     def test_matches_decryption_by_powers(self, session, keys64, phi):
+        # each step's Dec+ is prepared from its pads before its reply exists
         np_rng = np.random.default_rng(22)
         for s, keys in self._sessions(session, keys64, phi):
+            self._first(s, keys, *self._step(s, keys, np.full(18, 0.1)))
             for _ in range(6):
+                pads = draw_pads(18, keys, s["rng"], s["tables"])
+                prepared = s["masks"].prepare(pads, keys.p)
                 xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
-                products, pads = self._step(s, keys, xi)
-                args = (products, s["enc"], keys, s["bounds"], s["zero_mask"])
-                assert dec_plus(*args, pads=pads, masks=s["masks"]) == dec_plus(*args)
+                products, _ = self._step(s, keys, xi, pads)
+                assert self._dec(s, keys, products, prepared) == self._by_powers(s, keys, products)
 
     def test_altered_or_replayed_c1_rejected(self, session, keys64):
-        xi = np.full(18, 0.1)
-        first, pads = self._step(session, keys64, xi)
-        args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
-        dec_plus(first, *args, pads=pads, masks=session["masks"])
-        products, pads = self._step(session, keys64, xi)
+        first, products, prepared = self._learned(session, keys64)
         with pytest.raises(ReplyIntegrityError):  # step 1's reply to step 2's request
-            dec_plus(first, *args, pads=pads, masks=session["masks"])
+            self._dec(session, keys64, first, prepared)
         ct = products[1][4]
         products[1][4] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
         with pytest.raises(ReplyIntegrityError, match=r"\(2,5\)"):
-            dec_plus(products, *args, pads=pads, masks=session["masks"])
+            self._dec(session, keys64, products, prepared)
 
     @pytest.mark.parametrize("altered, named", [
         ([(2, 6), (1, 4)], "(2,5)"),   # two bad rows: the first in row-major order is named
@@ -482,36 +517,21 @@ class TestOnlineDecPlus:
         ([(4, 17)], "(5,18)"),         # the last product of the last row
     ], ids=["first-of-two-rows", "first-in-its-row", "last-product"])
     def test_c1_check_names_the_first_altered_product(self, altered, named, session, keys64):
-        xi = np.full(18, 0.1)
-        args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
-        first, pads = self._step(session, keys64, xi)
-        dec_plus(first, *args, pads=pads, masks=session["masks"])
-        products, pads = self._step(session, keys64, xi)
+        _, products, prepared = self._learned(session, keys64)
         for i, j in altered:
             ct = products[i][j]
             products[i][j] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
         with pytest.raises(ReplyIntegrityError, match=re.escape(named)):
-            dec_plus(products, *args, pads=pads, masks=session["masks"])
-
-    def test_prepared_before_the_reply_matches_decryption_by_powers(self, session, keys64, phi):
-        np_rng = np.random.default_rng(23)
-        for s, keys in self._sessions(session, keys64, phi):
-            first, pads = self._step(s, keys, np.full(18, 0.1))
-            s["masks"].learn(first, pads, keys)
-            for _ in range(6):
-                pads = draw_pads(18, keys, s["rng"], s["tables"])
-                prepared = s["masks"].prepare(pads, keys.p, s["zero_mask"])  # no reply yet
-                xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
-                products, _ = self._step(s, keys, xi, pads)
-                args = (products, s["enc"], keys, s["bounds"], s["zero_mask"])
-                assert dec_plus(*args, prepared=prepared) == dec_plus(*args)
+            self._dec(session, keys64, products, prepared)
 
     def test_prepare_skips_the_zero_entries(self, session, keys64, phi):
         first, pads = self._step(session, keys64, np.full(18, 0.1))
-        session["masks"].learn(first, pads, keys64)
-        prepared = session["masks"].prepare(pads, keys64.p, session["zero_mask"])
+        self._first(session, keys64, first, pads)
+        nonzero = int(np.count_nonzero(phi))
+        assert sum(len(row) for row in session["masks"].mask) == nonzero == 71
+        prepared = session["masks"].prepare(pads, keys64.p)
         assert [len(row) for row in prepared.c1] == [18] * 5
-        assert sum(len(row) for row in prepared.factors) == int(np.count_nonzero(phi)) == 71
+        assert sum(len(row) for row in prepared.factors) == nonzero
         assert prepared.c1 == tuple(tuple(ct.c1 for ct in row) for row in first)
 
     @pytest.mark.parametrize("step", [1, 2])
@@ -519,19 +539,19 @@ class TestOnlineDecPlus:
     def test_c2_outside_the_group_on_a_zero_entry_is_named(self, learned, step, session, keys64):
         # Phi[0][0] is 0: Dec+ skips its product, but its c2 is still range-checked
         assert session["zero_mask"][0][0]
-        args = (session["enc"], keys64, session["bounds"], session["zero_mask"])
-
-        def kw(pads):
-            return dict(pads=pads, masks=session["masks"]) if learned else {}
-
         xi = np.full(18, 0.1)
-        if step == 2:  # an honest first step
-            products, pads = self._step(session, keys64, xi)
-            dec_plus(products, *args, **kw(pads))
         products, pads = self._step(session, keys64, xi)
+        if step == 2:  # an honest first step
+            self._first(session, keys64, products, pads)
+            products, pads = self._step(session, keys64, xi)
         products[0][0] = products[0][0]._replace(c2=0)
         with pytest.raises(ReplyIntegrityError, match=r"product \(1,1\): c2 = 0 is outside"):
-            dec_plus(products, *args, **kw(pads))
+            if not learned:
+                self._dec(session, keys64, products)
+            elif step == 1:
+                self._first(session, keys64, products, pads)
+            else:
+                self._dec(session, keys64, products, session["masks"].prepare(pads, keys64.p))
 
     @pytest.mark.parametrize("c1_of", [lambda c1, p: 0, lambda c1, p: c1 + p],
                              ids=["zero", "plus-p"])
@@ -541,11 +561,12 @@ class TestOnlineDecPlus:
         products, pads = self._step(session, keys64, np.full(18, 0.1))
         ct = products[3][9]
         products[3][9] = ct._replace(c1=c1_of(ct.c1, keys64.p))
-        kw = dict(pads=pads, masks=session["masks"]) if learned else {}
         with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = \d+ is outside"):
-            dec_plus(products, session["enc"], keys64, session["bounds"], session["zero_mask"],
-                     **kw)
-        assert session["masks"].mask is None  # nothing learned from the bad reply
+            if learned:
+                self._first(session, keys64, products, pads)
+            else:
+                self._dec(session, keys64, products)
+        assert session["masks"] is None  # nothing learned from the bad reply
 
 
 class TestDrbg:

@@ -120,6 +120,14 @@ class TestClosedLoop:
         assert np.all(trace["u1"] >= 0.0) and np.all(trace["u1"] <= 10.0)
         assert trace["compute_time"].sum() == 0.0  # timing off by default
 
+    @pytest.mark.parametrize("mode", ["approx", "encrypted"])
+    def test_non_finite_phi_is_named(self, mode, phi, keys, short_profile):
+        # a NaN entry used to run approx to the end with u1 = nan on every step
+        bad = phi.copy()
+        bad[3][5] = math.nan
+        with pytest.raises(ValueError, match=r"Phi\[4\]\[6\] = nan is not finite"):
+            run_closed_loop(mode, short_profile, phi=bad, keys=keys, warmup=2.0)
+
     def test_modes_require_artifacts(self, short_profile):
         with pytest.raises(ValueError):
             run_closed_loop("approx", short_profile)
@@ -310,7 +318,8 @@ class TestOnlineOffline:
                 run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0, session=dev)
         else:
             run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0)
-        assert steps == [(90, 1)] + [(0, 0)] * 19  # step 1 learns the session masks
+        # step 1 decrypts each nonzero product by one power and learns the session masks
+        assert steps == [(int(np.count_nonzero(phi)), 1)] + [(0, 0)] * 19
         assert refills == [(0, 1)] * 20  # fixed-base tables, one batch inverse
 
     def test_256_bit_session_is_transparent(self, phi):
@@ -427,6 +436,22 @@ class TestOnlineOffline:
         with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = 0 is outside"):
             run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
                             session=FakeSession(enc_phi, keys.p, tamper))
+        ctl = EncryptedController(phi, keys, session=FakeSession(enc_phi, keys.p, tamper))
+        with pytest.raises(ReplyIntegrityError):
+            ctl.step(ZIN)
+        assert ctl.masks is None  # nothing learned from the bad reply
+
+    def test_masks_are_c1_of_phi_to_the_minus_s(self, phi, keys):
+        # the ground truth, from the controller's own Enc(Phi): c1(Phi_ij)^-s and c1(Phi_ij)
+        ctl = EncryptedController(phi, keys, nonce_seed=5)
+        ctl.step(ZIN)
+        p, e = keys.p, keys.p - 1 - keys.s
+        learned = [(i, j, m) for i, row in enumerate(ctl.masks.mask) for j, m in row]
+        assert [(i, j) for i, j, _ in learned] == [tuple(ij) for ij in np.argwhere(phi != 0.0)]
+        assert len(learned) == 71
+        for i, j, m in learned:
+            assert m == pow(ctl.enc_phi[i][j].c1, e, p)
+        assert ctl.masks.c1_phi == [[ct.c1 for ct in row] for row in ctl.enc_phi]
 
     def test_refill_prepares_dec_plus_outside_the_step(self, phi, keys, enc_phi, monkeypatch):
         in_psi, prepared_in_psi = [], []
@@ -454,8 +479,8 @@ class TestOnlineOffline:
                 ctl.refill()
             ctl.step(ZIN)
             devs.append(float(np.max(np.abs(ctl.last_psi - ctl.last_plain_psi))))
-        # the first refill precedes the masks, so step 1 learns them and prepares inline
-        assert prepared_in_psi == [True, False, False, True]
+        # the first refill precedes the masks, so step 1 prepares nothing: it learns them
+        assert prepared_in_psi == [False, False, True]
         assert max(devs) <= 1e-4
         ctl.refill()
         with pytest.raises(ReplyIntegrityError, match="altered or replayed"):
