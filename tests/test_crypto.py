@@ -490,9 +490,34 @@ class TestOnlineDecPlus:
         products, pads = self._step(s, keys, np.full(18, 0.1))
         return first, products, s["masks"].prepare(pads, keys.p)
 
+    @staticmethod
+    def _by_decrypt(s, keys, products):
+        """Each nonzero entry's product by `decrypt` and `decode`, summed left to right."""
+        combined = s["enc"].delta_xi * s["enc"].delta_phi
+        psi = []
+        for i, row in enumerate(products):
+            total = 0.0
+            for j, ct in enumerate(row):
+                if not s["zero_mask"][i][j]:
+                    total += decode(decrypt(ct, keys), combined, keys.p)
+            psi.append(total)
+        return psi
+
     def test_matches_decryption_by_powers(self, session, keys64, phi):
-        # each step's Dec+ is prepared from its pads before its reply exists
+        # step 1 by powers, then every step by its session masks, against plain decryption
         np_rng = np.random.default_rng(22)
+        for s, keys in self._sessions(session, keys64, phi):
+            first, pads = self._step(s, keys, np.full(18, 0.1))
+            assert self._first(s, keys, first, pads) == self._by_decrypt(s, keys, first)
+            for _ in range(6):
+                xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
+                products, pads = self._step(s, keys, xi)
+                prepared = s["masks"].prepare(pads, keys.p)
+                assert self._dec(s, keys, products, prepared) == self._by_decrypt(s, keys, products)
+
+    def test_prepared_before_the_reply_matches_decryption_by_powers(self, session, keys64, phi):
+        # each step's Dec+ is prepared from its pads before its reply exists
+        np_rng = np.random.default_rng(23)
         for s, keys in self._sessions(session, keys64, phi):
             self._first(s, keys, *self._step(s, keys, np.full(18, 0.1)))
             for _ in range(6):
