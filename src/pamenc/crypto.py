@@ -13,10 +13,9 @@ encrypting it is one multiplication. Drawing the pads runs no power either:
 g and h are fixed for the session, so g^k and h^k are products of rows of a
 precomputed `FixedBase` table, and all the h^-k come from one modular
 inverse (`_inverses`). Every product has c1 = c1(Phi_ij) g^k, so
-c1(Phi_ij)^-s is fixed for the session. Step 1 decrypts its reply by
-powers (`power_factors`, one per nonzero entry of Phi), and `PhiMasks`
-turns each of those factors c1^-s into the session mask c1(Phi_ij)^-s with
-one multiplication. After that every nonce-dependent factor of a step's
+c1(Phi_ij)^-s is fixed for the session. `PhiMasks` computes these masks
+at setup from Enc(Phi), one power per nonzero entry of Phi, and checks
+that each decrypts its entry. So every nonce-dependent factor of a step's
 Dec+ is known before its reply arrives, and `PhiMasks.prepare` computes
 them between steps: the expected c1(Phi_ij) g^k and the decryption factor
 c1(Phi_ij)^-s h^-k. Online, Dec+ compares each row of c1 as one list and
@@ -425,8 +424,8 @@ class DecodeOverflowError(RuntimeError):
 
 
 class ReplyIntegrityError(RuntimeError):
-    """A reply product is not what the service owes: a c1 that is not
-    c1(Phi_ij) g^k (altered or replayed), or a c1 or c2 outside [1, p)."""
+    """A reply is not what the service owes: an Enc(Phi) of another Phi, a c1
+    that is not c1(Phi_ij) g^k (altered or replayed), or a c1 or c2 outside [1, p)."""
 
 
 class Prepared(NamedTuple):
@@ -453,15 +452,11 @@ def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
                   zero_mask=None) -> Prepared:
     """Decryption by powers: a factor c1^(p-1-s) = c1^-s, one power, per product decrypted.
 
-    These are the products of all but the exact-zero entries of Phi.
-    `zero_mask[i][j]` marks an entry that is exactly zero but was encoded as
-    the 1-substitute (the group cannot represent zero). Its true
-    contribution is zero, so its product is not decrypted. Without this the
-    substitution residue (xi_j/delta_phi per zero entry) accumulates through
-    the integrator state rows into a standing tracking offset. The mask is
-    device-side knowledge: the device holds the secret key and assembled
-    Enc(Phi) in the first place. Without a mask every product is decrypted.
-    A c1 outside [1, p) raises ReplyIntegrityError: 0 has no inverse.
+    This is the reference the prepared Dec+ is tested against.
+    `zero_mask[i][j]` marks an entry of Phi that is exactly zero, whose
+    product is not decrypted (see `PhiMasks`); without a mask every product
+    is decrypted. A c1 outside [1, p) raises ReplyIntegrityError: 0 has no
+    inverse.
     """
     p, e = keys.p, keys.p - 1 - keys.s
     factors = []
@@ -473,24 +468,35 @@ def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
 
 
 class PhiMasks:
-    """Dec+'s session constants, learned from step 1's decryption by powers.
+    """Dec+'s session constants, computed at setup from Enc(Phi).
 
     Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
-    and c1^-s = mask_ij h^-k, where c1(Phi_ij) and mask_ij = c1(Phi_ij)^-s
-    are fixed for the session. Step 1 decrypts by powers, `first =
-    power_factors(...)`, so each factor it holds is c1_ij^-s and mask_ij is
-    that factor times h^k: one multiplication per product Dec+ decrypts,
-    kept in the same (j, value) rows. c1(Phi) takes one batch inverse of the
-    18 g^k. `prepare` turns the masks and a step's pads into that step's
-    `Prepared` before its reply arrives: the 90 expected c1 and one factor
-    mask_ij h^-k per mask, multiplications only.
+    and c1^-s = mask_ij h^-k; c1(Phi_ij) and mask_ij = c1(Phi_ij)^-s are
+    fixed for the session. A mask takes one power, for the nonzero entries
+    of `phi` only: a zero entry is encoded as 1, and its product's residue
+    xi_j/delta_phi would build a standing tracking offset through the
+    integrator state rows. Over a network `enc_phi` is the service's: a c1
+    or c2 outside [1, p), or a mask that does not decrypt its entry to
+    encode(Phi_ij), raises ReplyIntegrityError before any step. `prepare`
+    turns the masks and a step's pads into that step's `Prepared` before its
+    reply arrives: 90 expected c1 and one factor mask_ij h^-k per mask.
     """
 
-    def __init__(self, products: list[list[Ciphertext]], pads: list[Pad], first: Prepared, p: int):
-        g_inv_k = _inverses([pad.g_k for pad in pads], p)
-        self.c1_phi = [[ct.c1 * gi % p for ct, gi in zip(row, g_inv_k, strict=True)]
-                       for row in products]
-        self.mask = [[(j, f * pads[j].h_k % p) for j, f in row] for row in first.factors]
+    def __init__(self, enc_phi: list[list[Ciphertext]], phi, params: EncodingParams,
+                 keys: ElGamalKeys):
+        p, e = keys.p, keys.p - 1 - keys.s
+        self.c1_phi, self.mask = [], []
+        for i, (row, phi_row) in enumerate(zip(enc_phi, phi, strict=True)):
+            c1s, c2s = zip(*row)
+            _check_in_group(c1s, i, "c1", p)
+            _check_in_group(c2s, i, "c2", p)
+            self.c1_phi.append(c1s)
+            self.mask.append([(j, pow(c1s[j], e, p)) for j, v in enumerate(phi_row) if v != 0.0])
+            for j, mask in self.mask[-1]:
+                if c2s[j] * mask % p != encode(phi_row[j], params.delta_phi, p):
+                    raise ReplyIntegrityError(
+                        f"Enc(Phi)[{i+1}][{j+1}] does not decrypt to Phi[{i+1}][{j+1}] = "
+                        f"{float(phi_row[j])!r}; the service holds another Phi")
 
     def prepare(self, pads: list[Pad], p: int) -> Prepared:
         """The step's expected c1 rows and decryption factors."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from .controller import ControllerInput, ControllerState, clamp_u, original_step
 from .crypto import (
+    Ciphertext,
     Drbg,
     ElGamalKeys,
     EncodingParams,
@@ -36,7 +37,6 @@ from .crypto import (
     enc_eval,
     enc_matrix,
     enc_vector,
-    power_factors,
 )
 from .pam import PlantState, measured_stiffness, plant_step
 from .params import (
@@ -236,19 +236,17 @@ class EncryptedController(MatrixController):
     service's Enc(Phi) is built with. `last_plain_psi` carries the plaintext
     Phi xi value evaluated on the same xi for paired comparisons.
 
-    No modular power runs in a step after the first. `refill`, called
-    between steps, draws the next step's 18 nonce pads from the fixed-base
-    tables of g and h built here (`crypto.FixedBase`) with one modular
-    inverse and no power. Step 1 decrypts its reply by powers, one per
-    nonzero Phi entry (`crypto.power_factors`), and learns the session
-    masks from those factors and its pads (`crypto.PhiMasks`, the same in
-    both modes). From then on the refill also prepares each step's Dec+:
-    the 90 c1 the reply must carry and one decryption factor per nonzero
-    Phi entry. A step that finds no refill makes its own, and no pad serves
-    two steps. Online, encrypting is one multiplication per entry and Dec+
-    one list compare per row and one multiplication per product. A later
-    reply whose c1 does not match, or any reply with a c1 or c2 outside
-    [1, p), raises `crypto.ReplyIntegrityError`.
+    No modular power runs in a step. `__init__` obtains Enc(Phi) once: its
+    own, drawn from the nonce stream before any pad, or over a session the
+    service's (Enc(1) with nonce 0 is (1, 1), so the reply to 18 copies of
+    it is Enc(Phi) itself). It computes the session masks from it with
+    `crypto.PhiMasks`, which refuses a service holding another Phi.
+    `refill`, between steps, draws the next step's 18 nonce pads from the
+    fixed-base tables of g and h (`crypto.FixedBase`, one modular inverse)
+    and prepares its Dec+: the 90 c1 the reply must carry and one
+    decryption factor per nonzero Phi entry. A step that finds no refill
+    makes its own; no pad serves two steps. A reply whose c1 does not match,
+    or with a c1 or c2 outside [1, p), raises `crypto.ReplyIntegrityError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -261,31 +259,28 @@ class EncryptedController(MatrixController):
         self.encoding = EncodingParams()
         # lists, not arrays: Dec+ reads them one entry at a time
         self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p).tolist()
-        self.zero_mask = (self.phi == 0.0).tolist()
         self.rng = Drbg(nonce_seed)
         self.session = session
-        self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng)
-                        if session is None else None)  # else the service holds Enc(Phi)
+        self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng) if session is None
+                        else session.eval([Ciphertext(1, 1)] * 18))
+        self.masks = PhiMasks(self.enc_phi, self.phi.tolist(), self.encoding, keys)
         self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
-        self.masks: PhiMasks | None = None  # learned on step 1
-        # the next step's pads and prepared Dec+ (None before the masks), until it takes them
-        self._ready: tuple[list[Pad], Prepared | None] | None = None
+        # the next step's pads and prepared Dec+, until it takes them
+        self._ready: tuple[list[Pad], Prepared] | None = None
         self.last_plain_psi: np.ndarray | None = None
 
     def refill(self) -> None:
-        """Offline work: the next step's nonce pads and, once the masks are
-        learned, its prepared Dec+, unless unused ones wait."""
+        """Offline work: the next step's nonce pads and prepared Dec+, unless unused ones wait."""
         if self._ready is None:
             pads = draw_pads(18, self.keys, self.rng, self.tables)
-            self._ready = pads, (None if self.masks is None
-                                 else self.masks.prepare(pads, self.keys.p))
+            self._ready = pads, self.masks.prepare(pads, self.keys.p)
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
         xs = xi.tolist()
         for j, (v, bound) in enumerate(zip(xs, self.encoding.xi_bounds)):
-            if abs(v) > bound:
+            if not abs(v) <= bound:  # a NaN fails this test too
                 raise OverflowError(
-                    f"xi_{j+1} = {v!r} exceeds its declared bound {bound!r}")
+                    f"xi_{j+1} = {v!r} is outside its declared bound {bound!r}")
         if self._ready is None:  # no refill since the last step
             self.refill()
         (pads, prepared), self._ready = self._ready, None  # no pad serves two steps
@@ -294,9 +289,6 @@ class EncryptedController(MatrixController):
             products = self.session.eval(enc_xi)
         else:
             products = enc_eval(self.enc_phi, enc_xi, self.keys.p)
-        if prepared is None:  # step 1: decrypt by powers, and learn the masks from its factors
-            prepared = power_factors(products, self.keys, self.zero_mask)
-            self.masks = PhiMasks(products, pads, prepared, self.keys.p)
         psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds,
                                 prepared=prepared))
         self.last_plain_psi = poly_step(self.phi, xi)

@@ -243,6 +243,22 @@ class TestServeIntegration:
         err = capsys.readouterr().err
         assert "product (4,10): c1 = 0 is outside [1, p)" in err and len(err.splitlines()) == 1
 
+    def test_service_holding_another_phi_exits_runtime(self, workspace, short_profile, tmp_path,
+                                                       capsys):
+        from pamenc import ControllerService, Drbg, EncodingParams, enc_matrix
+
+        # Enc of a Phi with entry (2,7) off by 1 %: refused at set-up, before any step
+        keys = load_keys(workspace / "key.sec")
+        other = load_phi(workspace / "phi.csv")
+        other[1][6] *= 1.01
+        enc_phi = enc_matrix(other, EncodingParams(), keys, Drbg(None))
+        with ControllerService(enc_phi, keys.p) as svc:
+            rc = _simulate_connected(workspace, short_profile, tmp_path, svc.address)
+        assert rc == EXIT_RUNTIME
+        assert not (tmp_path / "t.csv").exists()
+        err = capsys.readouterr().err
+        assert "Enc(Phi)[2][7] does not decrypt" in err and len(err.splitlines()) == 1
+
     def test_closed_connection_exits_runtime(self, workspace, short_profile, tmp_path):
         # a peer that accepts and hangs up at once
         listener = socket.create_server(("127.0.0.1", 0))

@@ -444,15 +444,17 @@ class TestMatrixPipeline:
 
 
 class TestOnlineDecPlus:
-    """Session masks learned on step 1: the same psi as decryption by powers, with c1 checked."""
+    """Session masks from Enc(Phi): the same psi as decryption by powers, with c1 checked."""
 
     @staticmethod
     def _session(keys, phi):
         enc = EncodingParams()
         rng = Drbg(21)
-        return dict(enc=enc, rng=rng, enc_phi=enc_matrix(phi, enc, keys, rng),
+        enc_phi = enc_matrix(phi, enc, keys, rng)
+        return dict(enc=enc, rng=rng, enc_phi=enc_phi,
                     bounds=check_overflow_guard(enc, phi, keys.p), zero_mask=phi == 0.0,
-                    masks=None, tables=(FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p)))
+                    masks=PhiMasks(enc_phi, phi, enc, keys),
+                    tables=(FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p)))
 
     @pytest.fixture()
     def session(self, keys64, phi):
@@ -474,19 +476,12 @@ class TestOnlineDecPlus:
     def _dec(s, keys, products, prepared=None):
         return dec_plus(products, s["enc"], keys, s["bounds"], prepared=prepared)
 
-    def _first(self, s, keys, products, pads):
-        """Step 1 as the controller runs it: Dec+ by powers, then the masks from its factors."""
-        prepared = power_factors(products, keys, s["zero_mask"])
-        s["masks"] = PhiMasks(products, pads, prepared, keys.p)
-        return self._dec(s, keys, products, prepared)
-
     def _by_powers(self, s, keys, products):
         return self._dec(s, keys, products, power_factors(products, keys, s["zero_mask"]))
 
-    def _learned(self, s, keys):
-        """A session after an honest step 1, and the pads and products of step 2."""
-        first, pads = self._step(s, keys, np.full(18, 0.1))
-        self._first(s, keys, first, pads)
+    def _two_steps(self, s, keys):
+        """The products of an honest step 1, and the products and prepared Dec+ of step 2."""
+        first, _ = self._step(s, keys, np.full(18, 0.1))
         products, pads = self._step(s, keys, np.full(18, 0.1))
         return first, products, s["masks"].prepare(pads, keys.p)
 
@@ -504,13 +499,12 @@ class TestOnlineDecPlus:
         return psi
 
     def test_matches_decryption_by_powers(self, session, keys64, phi):
-        # step 1 by powers, then every step by its session masks, against plain decryption
+        # every step, the first included, by its session masks, against plain decryption
         np_rng = np.random.default_rng(22)
         for s, keys in self._sessions(session, keys64, phi):
-            first, pads = self._step(s, keys, np.full(18, 0.1))
-            assert self._first(s, keys, first, pads) == self._by_decrypt(s, keys, first)
-            for _ in range(6):
-                xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
+            for k in range(7):
+                xi = (np.full(18, 0.1) if k == 0 else
+                      np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds]))
                 products, pads = self._step(s, keys, xi)
                 prepared = s["masks"].prepare(pads, keys.p)
                 assert self._dec(s, keys, products, prepared) == self._by_decrypt(s, keys, products)
@@ -519,7 +513,6 @@ class TestOnlineDecPlus:
         # each step's Dec+ is prepared from its pads before its reply exists
         np_rng = np.random.default_rng(23)
         for s, keys in self._sessions(session, keys64, phi):
-            self._first(s, keys, *self._step(s, keys, np.full(18, 0.1)))
             for _ in range(6):
                 pads = draw_pads(18, keys, s["rng"], s["tables"])
                 prepared = s["masks"].prepare(pads, keys.p)
@@ -528,7 +521,7 @@ class TestOnlineDecPlus:
                 assert self._dec(s, keys, products, prepared) == self._by_powers(s, keys, products)
 
     def test_altered_or_replayed_c1_rejected(self, session, keys64):
-        first, products, prepared = self._learned(session, keys64)
+        first, products, prepared = self._two_steps(session, keys64)
         with pytest.raises(ReplyIntegrityError):  # step 1's reply to step 2's request
             self._dec(session, keys64, first, prepared)
         ct = products[1][4]
@@ -542,7 +535,7 @@ class TestOnlineDecPlus:
         ([(4, 17)], "(5,18)"),         # the last product of the last row
     ], ids=["first-of-two-rows", "first-in-its-row", "last-product"])
     def test_c1_check_names_the_first_altered_product(self, altered, named, session, keys64):
-        _, products, prepared = self._learned(session, keys64)
+        _, products, prepared = self._two_steps(session, keys64)
         for i, j in altered:
             ct = products[i][j]
             products[i][j] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
@@ -551,7 +544,6 @@ class TestOnlineDecPlus:
 
     def test_prepare_skips_the_zero_entries(self, session, keys64, phi):
         first, pads = self._step(session, keys64, np.full(18, 0.1))
-        self._first(session, keys64, first, pads)
         nonzero = int(np.count_nonzero(phi))
         assert sum(len(row) for row in session["masks"].mask) == nonzero == 71
         prepared = session["masks"].prepare(pads, keys64.p)
@@ -566,32 +558,33 @@ class TestOnlineDecPlus:
         assert session["zero_mask"][0][0]
         xi = np.full(18, 0.1)
         products, pads = self._step(session, keys64, xi)
-        if step == 2:  # an honest first step
-            self._first(session, keys64, products, pads)
+        if step == 2:  # after an honest first step
             products, pads = self._step(session, keys64, xi)
         products[0][0] = products[0][0]._replace(c2=0)
         with pytest.raises(ReplyIntegrityError, match=r"product \(1,1\): c2 = 0 is outside"):
-            if not learned:
-                self._dec(session, keys64, products)
-            elif step == 1:
-                self._first(session, keys64, products, pads)
-            else:
+            if learned:
                 self._dec(session, keys64, products, session["masks"].prepare(pads, keys64.p))
+            else:
+                self._dec(session, keys64, products)
 
     @pytest.mark.parametrize("c1_of", [lambda c1, p: 0, lambda c1, p: c1 + p],
                              ids=["zero", "plus-p"])
     @pytest.mark.parametrize("learned", [True, False], ids=["masks", "powers"])
-    def test_first_reply_c1_outside_the_group_is_named(self, learned, c1_of, session, keys64):
-        # c1 = 0 used to learn a mask of 0 and end in decode's bare ValueError
-        products, pads = self._step(session, keys64, np.full(18, 0.1))
+    def test_first_reply_c1_outside_the_group_is_named(self, learned, c1_of, session, keys64,
+                                                       phi):
+        # over a network the masks come from the first reply, Enc(Phi) itself;
+        # c1 = 0 there used to give a mask of 0 and end in decode's bare ValueError
+        if learned:
+            products = [list(row) for row in session["enc_phi"]]
+        else:
+            products, _ = self._step(session, keys64, np.full(18, 0.1))
         ct = products[3][9]
         products[3][9] = ct._replace(c1=c1_of(ct.c1, keys64.p))
         with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = \d+ is outside"):
             if learned:
-                self._first(session, keys64, products, pads)
+                PhiMasks(products, phi, session["enc"], keys64)
             else:
                 self._dec(session, keys64, products)
-        assert session["masks"] is None  # nothing learned from the bad reply
 
 
 class TestDrbg:

@@ -1,7 +1,9 @@
 """Profiles, metric windows, scoring, traces, and closed-loop behavior."""
 
 import builtins
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,8 +308,11 @@ class TestOnlineOffline:
                 return out
             return wrapper
 
-        steps, refills = [], []
+        setups, masks, steps, refills = [], [], [], []
         monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(EncryptedController, "__init__",
+                            snapshot(setups, EncryptedController.__init__))
+        monkeypatch.setattr(crypto.PhiMasks, "__init__", snapshot(masks, crypto.PhiMasks.__init__))
         monkeypatch.setattr(EncryptedController, "step", snapshot(steps, EncryptedController.step))
         monkeypatch.setattr(EncryptedController, "refill",
                             snapshot(refills, EncryptedController.refill))
@@ -318,8 +323,13 @@ class TestOnlineOffline:
                 run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0, session=dev)
         else:
             run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0)
-        # step 1 decrypts each nonzero product by one power and learns the session masks
-        assert steps == [(int(np.count_nonzero(phi)), 1)] + [(0, 0)] * 19
+        # set-up computes one session mask per nonzero entry; in-process it also
+        # encrypts its own Phi, two powers per entry
+        nonzero = int(np.count_nonzero(phi))
+        assert nonzero == 71
+        assert masks == [(nonzero, 0)]
+        assert setups == [(nonzero + (0 if networked else 2 * 90), 0)]
+        assert steps == [(0, 0)] * 20  # step 1 included
         assert refills == [(0, 1)] * 20  # fixed-base tables, one batch inverse
 
     def test_256_bit_session_is_transparent(self, phi):
@@ -377,11 +387,13 @@ class TestOnlineOffline:
         for xi, got in zip(xis, requests):
             assert got == crypto.enc_vector(xi, EncodingParams().delta_xi, keys, rng)
 
+    # reply 1 is the set-up reply, Enc(Phi); reply k + 1 answers step k
     @pytest.mark.parametrize("tamper, completed", [
-        (lambda k, prods, _: [[ct._replace(c1=ct.c1 + 1) if (k, i, j) == (3, 0, 4) else ct
+        (lambda k, prods, _: [[ct._replace(c1=ct.c1 + 1) if (k, i, j) == (4, 0, 4) else ct
                                for j, ct in enumerate(row)] for i, row in enumerate(prods)], 2),
-        (lambda k, prods, replies: replies[0] if k == 2 else prods, 1),
-    ], ids=["c1-altered-at-step-3", "step-1-replayed-at-step-2"])
+        (lambda k, prods, replies: replies[1] if k == 3 else prods, 1),
+        (lambda k, prods, replies: replies[0] if k == 2 else prods, 0),
+    ], ids=["c1-altered-at-step-3", "step-1-replayed-at-step-2", "set-up-replayed-at-step-1"])
     def test_tampered_reply_is_named(self, tamper, completed, phi, keys, enc_phi, short_profile):
         # Dec+ by powers would read these as some other plaintext, or a DecodeOverflowError
         seen = []
@@ -396,7 +408,7 @@ class TestOnlineOffline:
     def test_c2_outside_the_group_is_named(self, c2_of, step, phi, keys, enc_phi, short_profile):
         # c2 = 0 used to surface as decode's bare ValueError; c2 + p decrypted like c2
         def tamper(k, prods, _):
-            if k == step:
+            if k == step + 1:
                 ct = prods[3][9]
                 prods[3][9] = ct._replace(c2=c2_of(ct.c2, keys.p))
             return prods
@@ -415,7 +427,7 @@ class TestOnlineOffline:
         assert phi[0][0] == 0.0
 
         def tamper(k, prods, _):
-            if k == step:
+            if k == step + 1:
                 prods[0][0] = prods[0][0]._replace(c2=0)
             return prods
 
@@ -427,31 +439,41 @@ class TestOnlineOffline:
         assert len(seen) == step - 1
 
     def test_first_reply_c1_of_zero_is_named(self, phi, keys, enc_phi, short_profile):
-        # it used to learn a mask of 0 and end in decode's bare ValueError
+        # the first reply is the set-up reply, Enc(Phi) itself: refused before any step
         def tamper(k, prods, _):
             if k == 1:
                 prods[3][9] = prods[3][9]._replace(c1=0)
             return prods
 
+        session, seen = FakeSession(enc_phi, keys.p, tamper), []
         with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = 0 is outside"):
             run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
-                            session=FakeSession(enc_phi, keys.p, tamper))
-        ctl = EncryptedController(phi, keys, session=FakeSession(enc_phi, keys.p, tamper))
-        with pytest.raises(ReplyIntegrityError):
-            ctl.step(ZIN)
-        assert ctl.masks is None  # nothing learned from the bad reply
+                            session=session, on_step=lambda k, c: seen.append(k))
+        assert len(session.replies) == 1 and seen == []
+
+    def test_service_holding_another_phi_is_named_at_set_up(self, phi, keys):
+        # one entry off by 1 %: before, every step ran on the service's Phi
+        i, j = 1, 6
+        assert phi[i][j] != 0.0
+        other = phi.copy()
+        other[i][j] *= 1.01
+        enc_other = enc_matrix(other, EncodingParams(), keys, Drbg(41))
+        with ControllerService(enc_other, keys.p) as svc, \
+                DeviceSession(svc.address, timeout=2.0) as dev:
+            with pytest.raises(ReplyIntegrityError,
+                               match=re.escape(f"Enc(Phi)[{i+1}][{j+1}] does not decrypt")):
+                EncryptedController(phi, keys, session=dev)
 
     def test_masks_are_c1_of_phi_to_the_minus_s(self, phi, keys):
-        # the ground truth, from the controller's own Enc(Phi): c1(Phi_ij)^-s and c1(Phi_ij)
+        # the ground truth, from the controller's own Enc(Phi), before any step
         ctl = EncryptedController(phi, keys, nonce_seed=5)
-        ctl.step(ZIN)
         p, e = keys.p, keys.p - 1 - keys.s
-        learned = [(i, j, m) for i, row in enumerate(ctl.masks.mask) for j, m in row]
-        assert [(i, j) for i, j, _ in learned] == [tuple(ij) for ij in np.argwhere(phi != 0.0)]
-        assert len(learned) == 71
-        for i, j, m in learned:
+        masks = [(i, j, m) for i, row in enumerate(ctl.masks.mask) for j, m in row]
+        assert [(i, j) for i, j, _ in masks] == [tuple(ij) for ij in np.argwhere(phi != 0.0)]
+        assert len(masks) == 71
+        for i, j, m in masks:
             assert m == pow(ctl.enc_phi[i][j].c1, e, p)
-        assert ctl.masks.c1_phi == [[ct.c1 for ct in row] for row in ctl.enc_phi]
+        assert ctl.masks.c1_phi == [tuple(ct.c1 for ct in row) for row in ctl.enc_phi]
 
     def test_refill_prepares_dec_plus_outside_the_step(self, phi, keys, enc_phi, monkeypatch):
         in_psi, prepared_in_psi = [], []
@@ -471,7 +493,7 @@ class TestOnlineOffline:
         monkeypatch.setattr(EncryptedController, "psi", marking_psi)
         monkeypatch.setattr(crypto.PhiMasks, "prepare", recording_prepare)
         session = FakeSession(enc_phi, keys.p,
-                              lambda k, prods, replies: replies[0] if k == 5 else prods)
+                              lambda k, prods, replies: replies[1] if k == 6 else prods)
         ctl = EncryptedController(phi, keys, nonce_seed=3, session=session)
         devs = []
         for refill in (True, True, True, False):  # the last step finds no refill
@@ -479,13 +501,20 @@ class TestOnlineOffline:
                 ctl.refill()
             ctl.step(ZIN)
             devs.append(float(np.max(np.abs(ctl.last_psi - ctl.last_plain_psi))))
-        # the first refill precedes the masks, so step 1 prepares nothing: it learns them
-        assert prepared_in_psi == [False, False, True]
+        # every step is prepared, step 1 included; only one without a refill does it inside
+        assert prepared_in_psi == [False, False, False, True]
         assert max(devs) <= 1e-4
         ctl.refill()
         with pytest.raises(ReplyIntegrityError, match="altered or replayed"):
             ctl.step(ZIN)  # step 1's reply to step 5's request
         assert prepared_in_psi[-1] is False
+
+    @pytest.mark.parametrize("p1", [float("nan"), 1e4], ids=["nan", "beyond-the-bound"])
+    def test_xi_outside_its_bound_is_named(self, p1, phi, keys):
+        # a NaN passed the old abs(v) > bound test and died in encode's bare ValueError
+        ctl = EncryptedController(phi, keys, nonce_seed=6)
+        with pytest.raises(OverflowError, match=r"xi_12 = \S+ is outside its declared bound"):
+            ctl.step(dataclasses.replace(ZIN, P1=p1))
 
     def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
         trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,

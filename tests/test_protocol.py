@@ -199,6 +199,15 @@ class TestService:
             sock.close()
         assert got == want_bytes
 
+    def test_set_up_request_is_answered_with_enc_phi(self, service, enc_phi):
+        # 18 copies of Enc(1) with nonce 0: one-byte integers, and Enc(Phi) * Enc(1) = Enc(Phi)
+        ones = [Ciphertext(1, 1)] * 18
+        frame = protocol.pack_eval_request(ones)
+        assert len(frame) == 4 + 3 + 2 + 36 * 1 == 45
+        assert protocol.parse_counted_ciphertexts(frame[7:], 18) == ones
+        with DeviceSession(service.address, timeout=2.0) as dev:
+            assert dev.eval(ones) == enc_phi
+
     def test_multiple_steps_one_session(self, service, enc_phi, keys):
         rng = Drbg(57)
         with DeviceSession(service.address, timeout=2.0) as dev:
