@@ -4,8 +4,8 @@ Subcommands: keygen, fit, build-phi, simulate, serve, evaluate, compare.
 Exit codes: 0 success, 2 usage error (argparse), 3 missing/unreadable file,
 4 invalid option combination, 5 runtime failure (including a timeout, a
 closed connection, a protocol error, a service whose Enc(Phi) does not
-decrypt to the device's Phi, or a reply that fails the device's integrity
-check on the network path).
+decrypt to the device's Phi, a reply that fails the device's integrity
+check on the network path, or an xi entry outside its fixed-point bound).
 
 Environment overrides: PAMENC_OUT_DIR prefixes relative output paths,
 PAMENC_PORT overrides the service port.
@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except BadCombinationError as exc:
         print(f"pamenc: {exc}", file=sys.stderr)
         return EXIT_BAD_COMBINATION
-    except (ValueError, OSError, RuntimeError, ProtocolError) as exc:
+    except (ValueError, OSError, OverflowError, RuntimeError, ProtocolError) as exc:
         print(f"pamenc: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

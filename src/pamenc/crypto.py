@@ -12,7 +12,8 @@ takes a pad (g^k, h^k, h^-k) drawn between steps (`draw_pads`), so
 encrypting it is one multiplication. Drawing the pads runs no power either:
 g and h are fixed for the session, so g^k and h^k are products of rows of a
 precomputed `FixedBase` table, and all the h^-k come from one modular
-inverse (`_inverses`). Every product has c1 = c1(Phi_ij) g^k, so
+inverse (`_inverses`); with the tables `enc_matrix` encrypts Phi the same
+way, from 90 pads. Every product has c1 = c1(Phi_ij) g^k, so
 c1(Phi_ij)^-s is fixed for the session. `PhiMasks` computes these masks
 at setup from Enc(Phi), one power per nonzero entry of Phi, and checks
 that each decrypts its entry. So every nonce-dependent factor of a step's
@@ -32,6 +33,7 @@ import hashlib
 import math
 import secrets
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -404,9 +406,19 @@ def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg | None = None,
             for v, pad in zip(values, pads, strict=True)]
 
 
-def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys, rng: Drbg) -> list[list[Ciphertext]]:
-    """Row-major encode-then-encrypt of the 5x18 controller matrix."""
-    return [enc_vector(row, params.delta_phi, keys, rng) for row in phi]
+def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys, rng: Drbg,
+               tables: tuple[FixedBase, FixedBase] | None = None) -> list[list[Ciphertext]]:
+    """Row-major encode-then-encrypt of the 5x18 controller matrix.
+
+    With `tables`, the session's FixedBase tables of g and h, the nonces are
+    drawn as pads (`draw_pads`) from the same stream in the same order: the
+    same ciphertexts, with one modular inverse in place of two powers an entry.
+    """
+    if tables is None:
+        return [enc_vector(row, params.delta_phi, keys, rng) for row in phi]
+    pads = iter(draw_pads(sum(len(row) for row in phi), keys, rng, tables))
+    return [enc_vector(row, params.delta_phi, keys, pads=list(islice(pads, len(row))))
+            for row in phi]
 
 
 def enc_eval(enc_phi: list[list[Ciphertext]], enc_xi: list[Ciphertext],

@@ -15,6 +15,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -156,8 +157,8 @@ class SimTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(names)
-            for k in range(len(self)):
-                writer.writerow([_fmt(col[k]) for col in cols])
+            for k in range(0, len(self), _CSV_BLOCK):
+                writer.writerows(zip(*[_fmt_column(col[k:k + _CSV_BLOCK]) for col in cols]))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SimTrace":
@@ -178,11 +179,19 @@ class SimTrace:
         return cls(columns=columns, xi=xi)
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if x == int(x) and abs(x) < 1e15:
-        return repr(x)
-    return format(x, ".12g")
+_CSV_BLOCK = 256  # rows formatted at once: bounds the strings held to a few hundred kB
+
+
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """A column's cells as CSV text: `repr` for an integral value below 1e15 in
+    magnitude (so 3.0, not 3), `format(x, ".12g")` for every other, which
+    writes a non-finite cell as nan, inf or -inf."""
+    col = np.asarray(col, dtype=float)
+    xs = col.tolist()
+    out = list(map(format, xs, repeat(".12g")))
+    for i in np.flatnonzero((col == np.trunc(col)) & (np.abs(col) < 1e15)).tolist():
+        out[i] = repr(xs[i])
+    return out
 
 
 class OriginalController:
@@ -237,7 +246,9 @@ class EncryptedController(MatrixController):
     Phi xi value evaluated on the same xi for paired comparisons.
 
     No modular power runs in a step. `__init__` obtains Enc(Phi) once: its
-    own, drawn from the nonce stream before any pad, or over a session the
+    own, encrypted with the fixed-base tables from 90 pads drawn from the
+    nonce stream before any step's pad (the same ciphertexts as without
+    the tables, and no power), or over a session the
     service's (Enc(1) with nonce 0 is (1, 1), so the reply to 18 copies of
     it is Enc(Phi) itself). It computes the session masks from it with
     `crypto.PhiMasks`, which refuses a service holding another Phi.
@@ -261,10 +272,10 @@ class EncryptedController(MatrixController):
         self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p).tolist()
         self.rng = Drbg(nonce_seed)
         self.session = session
-        self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng) if session is None
-                        else session.eval([Ciphertext(1, 1)] * 18))
-        self.masks = PhiMasks(self.enc_phi, self.phi.tolist(), self.encoding, keys)
         self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
+        self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng, self.tables)
+                        if session is None else session.eval([Ciphertext(1, 1)] * 18))
+        self.masks = PhiMasks(self.enc_phi, self.phi.tolist(), self.encoding, keys)
         # the next step's pads and prepared Dec+, until it takes them
         self._ready: tuple[list[Pad], Prepared] | None = None
         self.last_plain_psi: np.ndarray | None = None
@@ -334,7 +345,9 @@ def run_closed_loop(
     """Run one closed-loop session and return its trace.
 
     Warm-up holds 5.5 V with the controller off; the trace covers only the
-    control phase (step k=0 is the first controller invocation). Per-step
+    control phase (step k=0 is the first controller invocation). The plant
+    advances by one `plant_step` call for the whole warm-up and one per
+    control period, `plant.substeps` substeps per period. Per-step
     compute time covers the controller call only and is written as 0.0
     unless `measure_time` is set, keeping default traces byte-reproducible.
     An encrypted controller's offline refill runs before each step's sensor
@@ -352,10 +365,9 @@ def run_closed_loop(
     encrypted = isinstance(controller, EncryptedController)
     offline_time = 0.0
 
-    state = PlantState()
     sub_dt = ts / plant.substeps
-    for _ in range(int(round(warmup / ts)) * plant.substeps):
-        state = plant_step(state, WARMUP_VOLTAGE, WARMUP_VOLTAGE, plant, pam, sub_dt)
+    state = plant_step(PlantState(), WARMUP_VOLTAGE, WARMUP_VOLTAGE, plant, pam, sub_dt,
+                       int(round(warmup / ts)) * plant.substeps)
 
     noise = np.random.default_rng(noise_seed) if (noise_theta or noise_pressure) else None
 
@@ -398,8 +410,7 @@ def run_closed_loop(
         flags = (FLAG_U1_CLAMPED if c1 else 0) | (FLAG_U2_CLAMPED if c2 else 0)
         if measure_time and elapsed > ts:
             flags |= FLAG_DEADLINE_OVERRUN
-        for _ in range(plant.substeps):
-            state = plant_step(state, u1, u2, plant, pam, sub_dt)
+        state = plant_step(state, u1, u2, plant, pam, sub_dt, plant.substeps)
         if abs(state.theta) >= THETA_LIMIT:
             flags |= FLAG_THETA_STOP
         if state.P1 in (PRESSURE_MIN, PRESSURE_MAX) or state.P2 in (PRESSURE_MIN, PRESSURE_MAX):

@@ -81,31 +81,38 @@ def measured_stiffness(state: PlantState, params: PamParams) -> float:
 
 
 def plant_step(state: PlantState, u1: float, u2: float, sp: SurrogatePlantParams,
-               pp: PamParams, dt: float) -> PlantState:
-    """One semi-implicit Euler step of the surrogate plant.
+               pp: PamParams, dt: float, n: int = 1) -> PlantState:
+    """`n` semi-implicit Euler substeps of the surrogate plant under one held command.
 
     Pressures relax toward the valve-commanded values and are clamped to the
     allowable set; the joint integrates muscle torque minus damping and load,
-    with a hard stop at +-25 deg that zeroes the velocity.
+    with a hard stop at +-25 deg that zeroes the velocity. The valve targets
+    are mapped once, since (u1, u2) holds for all `n` substeps; each substep
+    is the same arithmetic as a single call, so the result equals `n` chained
+    calls bit for bit.
     """
     a = dt / sp.valve_tau
-    P1 = state.P1 + a * (sp.valve_map(u1) - state.P1)
-    P2 = state.P2 + a * (sp.valve_map(u2) - state.P2)
-    P1 = min(max(P1, PRESSURE_MIN), PRESSURE_MAX)
-    P2 = min(max(P2, PRESSURE_MIN), PRESSURE_MAX)
+    target1, target2 = sp.valve_map(u1), sp.valve_map(u2)
+    c_damp, load_torque, J = sp.c_damp, sp.load_torque, sp.J
+    theta, theta_dot, P1, P2 = state.theta, state.theta_dot, state.P1, state.P2
+    for _ in range(n):
+        P1 = P1 + a * (target1 - P1)
+        P2 = P2 + a * (target2 - P2)
+        P1 = min(max(P1, PRESSURE_MIN), PRESSURE_MAX)
+        P2 = min(max(P2, PRESSURE_MIN), PRESSURE_MAX)
 
-    l1, l2 = pam_lengths(state.theta, pp)
-    F1 = contraction_force(l1, P1, 0, pp)
-    F2 = contraction_force(l2, P2, 1, pp)
-    tau = joint_torque(state.theta, F1, F2, pp)
+        l1, l2 = pam_lengths(theta, pp)
+        F1 = contraction_force(l1, P1, 0, pp)
+        F2 = contraction_force(l2, P2, 1, pp)
+        tau = joint_torque(theta, F1, F2, pp)
 
-    theta_ddot = (tau - sp.c_damp * state.theta_dot - sp.load_torque) / sp.J
-    theta_dot = state.theta_dot + dt * theta_ddot
-    theta = state.theta + dt * theta_dot
-    if theta >= THETA_LIMIT:
-        theta, theta_dot = THETA_LIMIT, 0.0
-    elif theta <= -THETA_LIMIT:
-        theta, theta_dot = -THETA_LIMIT, 0.0
+        theta_ddot = (tau - c_damp * theta_dot - load_torque) / J
+        theta_dot = theta_dot + dt * theta_ddot
+        theta = theta + dt * theta_dot
+        if theta >= THETA_LIMIT:
+            theta, theta_dot = THETA_LIMIT, 0.0
+        elif theta <= -THETA_LIMIT:
+            theta, theta_dot = -THETA_LIMIT, 0.0
 
     return PlantState(theta=theta, theta_dot=theta_dot, P1=P1, P2=P2)
 

@@ -150,7 +150,7 @@ def sample_grid(spec: FeatureSpec, params: PamParams) -> dict[int, tuple[np.ndar
         ])
         vals = np.array([
             rational_terms(th, p1, p2, kp, params)[target - 1]
-            for th, kp, p1, p2 in inp
+            for th, kp, p1, p2 in inp.tolist()  # Python floats: same values, faster arithmetic
         ])
         out[target] = (inp, vals)
     return out

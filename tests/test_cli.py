@@ -86,6 +86,28 @@ class TestSimulate:
         assert "Phi[4][6] = nan is not finite" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_xi_outside_its_bound_exits_runtime(self, workspace, short_profile, tmp_path, capsys):
+        # the device's OverflowError used to end simulate in a traceback with exit 1
+        rc = main(["simulate", "--mode", "encrypted", "--profile", str(short_profile),
+                   "--warmup", "2", "--phi", str(workspace / "phi.csv"),
+                   "--keys", str(workspace / "key.sec"), "--noise-pressure", "5000",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "xi_12 = " in err and "outside its declared bound" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_nan_noise_writes_nan_cells(self, workspace, short_profile, tmp_path):
+        # non-finite cells used to stop the CSV writer after the whole run
+        out = tmp_path / "t.csv"
+        rc = main(["simulate", "--mode", "approx", "--profile", str(short_profile),
+                   "--warmup", "2", "--phi", str(workspace / "phi.csv"),
+                   "--noise-pressure", "nan", "--out", str(out)])
+        assert rc == 0
+        trace = SimTrace.from_csv(out)
+        assert len(trace) == 100 and np.all(np.isnan(trace["p1"]))
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--mode", "approx", "--profile", "ref2",
                    "--phi", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "t.csv")])

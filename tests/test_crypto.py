@@ -331,6 +331,16 @@ def phi():
 
 
 class TestMatrixPipeline:
+    @pytest.mark.parametrize("nonce_seed", [0, 11])
+    def test_enc_matrix_from_tables_is_per_entry_encryption(self, keys64, phi, nonce_seed):
+        # the same nonces in the same order, so the stream after it agrees too
+        p = keys64.p
+        a, b = Drbg(nonce_seed), Drbg(nonce_seed)
+        tables = (FixedBase(keys64.g, p), FixedBase(keys64.h, p))
+        assert enc_matrix(phi, EncodingParams(), keys64, a, tables) == \
+            enc_matrix(phi, EncodingParams(), keys64, b)
+        assert a.randrange(1, p - 1) == b.randrange(1, p - 1)
+
     def test_enc_matrix_roundtrip(self, keys64, phi):
         enc = EncodingParams()
         rng = Drbg(6)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pamenc import crypto, harness
+from pamenc import crypto, harness, pam
 from pamenc import (
     CANONICAL_WINDOWS,
     DEFAULT_GAINS,
@@ -268,6 +268,19 @@ class TestCallRouting:
         assert len(trace) == 10
         assert counts == {name: 10 if name in called else 0 for name in self.NAMES}
 
+    def test_one_plant_call_per_period(self, monkeypatch):
+        # one call integrates the warm-up, then one call each control period
+        substeps = []
+
+        def counting(*args):
+            substeps.append(args[6])
+            return pam.plant_step(*args)
+
+        monkeypatch.setattr(harness, "plant_step", counting)
+        trace = run_closed_loop("original", ReferenceProfile(((0.0, 0.2, 5.0, 6.0),)), warmup=0.3)
+        assert len(trace) == 10
+        assert substeps == [15 * DEFAULT_PLANT.substeps] + [DEFAULT_PLANT.substeps] * 10
+
 
 ZIN = ControllerInput(P1=450.0, P2=450.0, theta=0.0, theta_ref=math.radians(5.0), kp_ref=6.0)
 
@@ -324,11 +337,11 @@ class TestOnlineOffline:
         else:
             run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0)
         # set-up computes one session mask per nonzero entry; in-process it also
-        # encrypts its own Phi, two powers per entry
+        # encrypts its own Phi from 90 pads off the tables, one batch inverse
         nonzero = int(np.count_nonzero(phi))
         assert nonzero == 71
         assert masks == [(nonzero, 0)]
-        assert setups == [(nonzero + (0 if networked else 2 * 90), 0)]
+        assert setups == [(nonzero, 0 if networked else 1)]
         assert steps == [(0, 0)] * 20  # step 1 included
         assert refills == [(0, 1)] * 20  # fixed-base tables, one batch inverse
 
@@ -516,6 +529,11 @@ class TestOnlineOffline:
         with pytest.raises(OverflowError, match=r"xi_12 = \S+ is outside its declared bound"):
             ctl.step(dataclasses.replace(ZIN, P1=p1))
 
+    def test_own_enc_phi_is_enc_matrix_of_its_nonce_stream(self, phi, keys):
+        # drawn as pads off the fixed-base tables: the ciphertexts of per-entry encryption
+        assert EncryptedController(phi, keys, nonce_seed=31).enc_phi == \
+            enc_matrix(phi, EncodingParams(), keys, Drbg(31))
+
     def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
         trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
                                 warmup=2.0, measure_time=True)
@@ -525,6 +543,69 @@ class TestOnlineOffline:
         assert header == ",".join(harness.TRACE_COLUMNS)
         untimed = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0)
         assert untimed.offline_time == 0.0
+
+
+def _reference_csv(trace: SimTrace) -> str:
+    """The trace CSV written a row at a time, one cell at a time."""
+    def fmt(x):
+        x = float(x)
+        if math.isfinite(x) and x == int(x) and abs(x) < 1e15:
+            return repr(x)
+        return format(x, ".12g")
+
+    names = list(harness.TRACE_COLUMNS)
+    cols = [trace[c] for c in names]
+    if trace.xi is not None:
+        names += [f"xi_{j}" for j in range(1, 19)]
+        cols += [trace.xi[:, j] for j in range(18)]
+    lines = [",".join(names)]
+    lines += [",".join(fmt(col[k]) for col in cols) for k in range(len(trace))]
+    return "".join(line + "\r\n" for line in lines)
+
+
+class TestTraceCsv:
+    """SimTrace.to_csv formats a column at a time; the text is the row-at-a-time writer's."""
+
+    SPECIAL = [0.0, -0.0, 3.0, -7.0, 0.1, 1.0 / 3.0, 2.5, 1e15 - 1.0, 1e15, -1e15, 2.5e15,
+               1e300, 5e-324, -2.2e-310, 2.2250738585072014e-308, 123456789.123456789, 0.02,
+               1234567.123456]
+
+    def _synthetic(self, n, xi=True):
+        """Every column cycles through the special cells and random ones of many scales."""
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.integers(-8, 9, 40)
+        cells = np.resize(np.concatenate([self.SPECIAL, rng.normal(0.0, 1.0, 40) * scales]), n)
+        cols = {name: np.roll(cells, i) for i, name in enumerate(harness.TRACE_COLUMNS)}
+        xi_log = np.stack([np.roll(cells, 3 * j) for j in range(18)], axis=1) if xi else None
+        return SimTrace(columns=cols, xi=xi_log)
+
+    @pytest.mark.parametrize("n, xi", [
+        (600, True), (600, False), (256, True), (1, True), (0, False)])
+    def test_matches_row_at_a_time_writer(self, n, xi, tmp_path):
+        trace = self._synthetic(n, xi)
+        trace.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(trace).encode()
+
+    def test_closed_loop_trace_matches_row_at_a_time_writer(self, short_profile, phi, tmp_path):
+        trace = run_closed_loop("approx", short_profile, phi=phi, warmup=2.0, record_xi=True,
+                                noise_pressure=1.0, measure_time=True)
+        trace.to_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == _reference_csv(trace).encode()
+
+    def test_non_finite_cells_round_trip(self, tmp_path):
+        trace = self._synthetic(40)
+        trace.columns["u1"][[3, 4, 5]] = [np.nan, np.inf, -np.inf]
+        trace.xi[7, 2] = np.nan
+        trace.to_csv(tmp_path / "t.csv")
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        u1 = harness.TRACE_COLUMNS.index("u1")
+        assert [rows[k + 1].split(",")[u1] for k in (3, 4, 5)] == ["nan", "inf", "-inf"]
+        back = SimTrace.from_csv(tmp_path / "t.csv")
+        assert np.isnan(back["u1"][3]) and back["u1"][4] == np.inf and back["u1"][5] == -np.inf
+        assert np.isnan(back.xi[7, 2])
+        for name in harness.TRACE_COLUMNS:
+            np.testing.assert_allclose(back[name], trace[name], rtol=1e-11, equal_nan=True)
+        np.testing.assert_allclose(back.xi, trace.xi, rtol=1e-11, equal_nan=True)
 
 
 class TestCompareReport:

@@ -1,6 +1,7 @@
 """Geometry, force/stiffness maps, and the surrogate plant step."""
 
 import math
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from pamenc import (
     load_table2_muscle,
     pam_lengths,
     plant_step,
+    with_load_mass,
 )
 from pamenc.params import PRESSURE_MAX, PRESSURE_MIN, THETA_LIMIT
 
@@ -229,3 +231,52 @@ class TestPlantStep:
             gaps.append(abs(target - state.P1))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < gaps[0]
+
+
+def _bits(state):
+    return tuple(float.hex(x) for x in astuple(state))
+
+
+class TestPlantSubsteps:
+    """plant_step(..., n) integrates n substeps under one held command in one call."""
+
+    LOADED = with_load_mass(DEFAULT_PLANT, 1.5, DEFAULT_PAM)
+
+    # (start, u1, u2, plant, n, a substep state the case must reach)
+    CASES = {
+        "free-motion": (PlantState(0.05, -0.2, 460.0, 505.0), 6.2, 3.7, DEFAULT_PLANT, 10,
+                        lambda s: abs(s.theta) < THETA_LIMIT),
+        "upper-stop": (PlantState(0.3, 1.0, 600.0, 300.0), 10.0, 0.0, DEFAULT_PLANT, 200,
+                       lambda s: s.theta == THETA_LIMIT and s.theta_dot == 0.0),
+        "lower-stop": (PlantState(-0.3, -1.0, 300.0, 600.0), 0.0, 10.0, DEFAULT_PLANT, 200,
+                       lambda s: s.theta == -THETA_LIMIT and s.theta_dot == 0.0),
+        "pressure-clamps": (PlantState(0.0, 0.0, 745.0, 205.0), 12.0, -2.0, DEFAULT_PLANT, 50,
+                            lambda s: s.P1 == PRESSURE_MAX and s.P2 == PRESSURE_MIN),
+        "load-torque": (PlantState(0.1, 0.0, 475.0, 475.0), 5.0, 5.0, LOADED, 10,
+                        lambda s: s.theta_dot < 0.0),
+        "one-substep": (PlantState(0.05, -0.2, 460.0, 505.0), 6.2, 3.7, LOADED, 1,
+                        lambda s: True),
+        "warm-up-length": (PlantState(), 5.5, 5.5, DEFAULT_PLANT, 5000,
+                           lambda s: s.P1 > PRESSURE_MIN),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_chained_single_substeps_bit_for_bit(self, case):
+        start, u1, u2, sp, n, reached = self.CASES[case]
+        chain = [start]
+        for _ in range(n):
+            chain.append(plant_step(chain[-1], u1, u2, sp, DEFAULT_PAM, 0.002))
+        assert any(reached(s) for s in chain[1:])
+        assert _bits(plant_step(start, u1, u2, sp, DEFAULT_PAM, 0.002, n)) == _bits(chain[-1])
+
+    @pytest.mark.parametrize("theta", [0.6, -0.6], ids=["l1", "l2"])
+    @pytest.mark.parametrize("n", [1, 10])
+    def test_nonpositive_muscle_length_raises(self, theta, n):
+        pp = sym_params()
+        object.__setattr__(pp, "r", 2.0 * pp.L0)  # past PamParams' r < L0 check
+        with pytest.raises(ValueError, match="nonpositive muscle length"):
+            plant_step(PlantState(theta=theta), 5.0, 5.0, DEFAULT_PLANT, pp, 0.002, n)
+
+    def test_zero_substeps_keep_the_state(self):
+        start = PlantState(0.05, -0.2, 460.0, 505.0)
+        assert plant_step(start, 9.0, 1.0, DEFAULT_PLANT, DEFAULT_PAM, 0.002, 0) == start

@@ -38,6 +38,14 @@ class TestSampleGrid:
             for (th, kp, p1, p2), v in zip(inp, vals):
                 assert v == rational_terms(th, p1, p2, kp, DEFAULT_PAM)[target - 1]
 
+    def test_values_match_rows_of_numpy_scalars_bit_for_bit(self):
+        # the grid evaluates on Python floats; rows of numpy scalars give the same bits
+        for target, (inp, vals) in sample_grid(FeatureSpec(), DEFAULT_PAM).items():
+            ref = np.array([rational_terms(th, p1, p2, kp, DEFAULT_PAM)[target - 1]
+                            for th, kp, p1, p2 in inp])
+            assert isinstance(inp[0][0], np.float64)
+            assert vals.tobytes() == ref.tobytes()
+
     def test_reproducible(self):
         a = sample_grid(FeatureSpec(density=7), DEFAULT_PAM)
         b = sample_grid(FeatureSpec(density=7), DEFAULT_PAM)
