@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """The split deployment: plant-side device talking to a controller service.
 
-The service receives only Enc(Phi) and the public modulus; every control
-period the device encrypts xi, ships 18 ciphertexts over TCP, gets 90
-product ciphertexts back, and recovers psi with Dec+. The wire never
-carries plaintext and the service never holds the secret key.
+The service receives only Enc(Phi) and the public modulus. At set-up the
+device fetches Enc(Phi) and checks it against its own Phi; then every
+control period it encrypts xi, ships 18 ciphertexts over TCP under a
+sequence number, gets back the c2 halves of the 90 products under the same
+number, and recovers psi with Dec+. The wire never carries plaintext and
+the service never holds the secret key.
 """
 
 import numpy as np

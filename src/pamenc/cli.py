@@ -4,8 +4,9 @@ Subcommands: keygen, fit, build-phi, simulate, serve, evaluate, compare.
 Exit codes: 0 success, 2 usage error (argparse), 3 missing/unreadable file,
 4 invalid option combination, 5 runtime failure (including a timeout, a
 closed connection, a protocol error, a service whose Enc(Phi) does not
-decrypt to the device's Phi, a reply that fails the device's integrity
-check on the network path, or an xi entry outside its fixed-point bound).
+decrypt to the device's Phi, a reply with another sequence number than its
+request, a reply whose c2 is outside [1, p) or decodes outside its bound,
+a non-finite sensor value, or an xi entry outside its fixed-point bound).
 
 Environment overrides: PAMENC_OUT_DIR prefixes relative output paths,
 PAMENC_PORT overrides the service port.

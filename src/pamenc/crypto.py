@@ -13,14 +13,15 @@ encrypting it is one multiplication. Drawing the pads runs no power either:
 g and h are fixed for the session, so g^k and h^k are products of rows of a
 precomputed `FixedBase` table, and all the h^-k come from one modular
 inverse (`_inverses`); with the tables `enc_matrix` encrypts Phi the same
-way, from 90 pads. Every product has c1 = c1(Phi_ij) g^k, so
-c1(Phi_ij)^-s is fixed for the session. `PhiMasks` computes these masks
-at setup from Enc(Phi), one power per nonzero entry of Phi, and checks
-that each decrypts its entry. So every nonce-dependent factor of a step's
-Dec+ is known before its reply arrives, and `PhiMasks.prepare` computes
-them between steps: the expected c1(Phi_ij) g^k and the decryption factor
-c1(Phi_ij)^-s h^-k. Online, Dec+ compares each row of c1 as one list and
-decrypts a product in one multiplication.
+way, from 90 pads. Product (i, j) has c1 = c1(Phi_ij) g^k and decrypts as
+c2 (c1(Phi_ij)^-s h^-k). The mask c1(Phi_ij)^-s is fixed for the session:
+`PhiMasks` computes it at setup from Enc(Phi), one power per nonzero entry
+of Phi, and checks that each decrypts its entry. So the decryption factor
+of every product is known before its reply arrives, and no one needs a
+product's c1: `enc_eval` computes only the c2 halves, c2(Phi_ij) c2(xi_j),
+`PhiMasks.prepare` computes the factors between steps, and online Dec+
+decrypts a product in one multiplication. `hom_mul` and `power_factors`
+keep the full products and decryption by powers as the reference.
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -422,13 +423,16 @@ def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys, rng: Drbg,
 
 
 def enc_eval(enc_phi: list[list[Ciphertext]], enc_xi: list[Ciphertext],
-             p: int) -> list[list[Ciphertext]]:
-    """The 90 homomorphic products Enc(Phi[i][j]) * Enc(xi[j]); no additions."""
+             p: int) -> list[list[int]]:
+    """The c2 halves of the 90 products Enc(Phi[i][j]) * Enc(xi[j]): c2(Phi_ij) c2(xi_j) mod p.
+
+    That is `hom_mul(a, x, p).c2` for each product. Dec+ decrypts a product
+    from its c2 alone (see `PhiMasks`), so no c1 is computed; no additions.
+    """
     if any(len(row) != len(enc_xi) for row in enc_phi):
         raise ValueError("column count mismatch")
-    new = tuple.__new__  # hom_mul inlined: NamedTuple's __new__ is a Python call per product
-    return [[new(Ciphertext, (a1 * x1 % p, a2 * x2 % p))
-             for (a1, a2), (x1, x2) in zip(row, enc_xi)] for row in enc_phi]
+    x2 = [ct[1] for ct in enc_xi]
+    return [[ct[1] * x % p for ct, x in zip(row, x2)] for row in enc_phi]
 
 
 class DecodeOverflowError(RuntimeError):
@@ -436,19 +440,14 @@ class DecodeOverflowError(RuntimeError):
 
 
 class ReplyIntegrityError(RuntimeError):
-    """A reply is not what the service owes: an Enc(Phi) of another Phi, a c1
-    that is not c1(Phi_ij) g^k (altered or replayed), or a c1 or c2 outside [1, p)."""
+    """A reply is not what the service owes: an Enc(Phi) of another Phi, a
+    c1 or c2 outside [1, p), or a step reply with another sequence number."""
 
 
 class Prepared(NamedTuple):
-    """What Dec+ needs of one step besides its reply, row by row.
+    """What Dec+ needs of one step besides its reply: for each row, a (j, c1_ij^-s)
+    pair for each product Dec+ decrypts, so a product decrypts as c2 times its factor."""
 
-    `c1` holds the c1 every product must carry (None: not checked) and
-    `factors` a (j, c1_ij^-s) pair for each product Dec+ decrypts, so a
-    product decrypts as c2 times its factor.
-    """
-
-    c1: tuple[tuple[int, ...], ...] | None
     factors: list[list[tuple[int, int]]]
 
 
@@ -464,7 +463,8 @@ def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
                   zero_mask=None) -> Prepared:
     """Decryption by powers: a factor c1^(p-1-s) = c1^-s, one power, per product decrypted.
 
-    This is the reference the prepared Dec+ is tested against.
+    This is the reference the prepared Dec+ is tested against. It takes the
+    full products, `hom_mul` of each pair, for their c1.
     `zero_mask[i][j]` marks an entry of Phi that is exactly zero, whose
     product is not decrypted (see `PhiMasks`); without a mask every product
     is decrypted. A c1 outside [1, p) raises ReplyIntegrityError: 0 has no
@@ -476,33 +476,32 @@ def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
         _check_in_group([ct.c1 for ct in row], i, "c1", p)
         factors.append([(j, pow(ct.c1, e, p)) for j, ct in enumerate(row)
                         if zero_mask is None or not zero_mask[i][j]])
-    return Prepared(None, factors)
+    return Prepared(factors)
 
 
 class PhiMasks:
     """Dec+'s session constants, computed at setup from Enc(Phi).
 
     Product (i, j) of a step whose xi_j used nonce k has c1 = c1(Phi_ij) g^k
-    and c1^-s = mask_ij h^-k; c1(Phi_ij) and mask_ij = c1(Phi_ij)^-s are
-    fixed for the session. A mask takes one power, for the nonzero entries
+    and c1^-s = mask_ij h^-k; mask_ij = c1(Phi_ij)^-s is fixed for the
+    session. A mask takes one power, for the nonzero entries
     of `phi` only: a zero entry is encoded as 1, and its product's residue
     xi_j/delta_phi would build a standing tracking offset through the
     integrator state rows. Over a network `enc_phi` is the service's: a c1
     or c2 outside [1, p), or a mask that does not decrypt its entry to
     encode(Phi_ij), raises ReplyIntegrityError before any step. `prepare`
     turns the masks and a step's pads into that step's `Prepared` before its
-    reply arrives: 90 expected c1 and one factor mask_ij h^-k per mask.
+    reply arrives: one factor mask_ij h^-k per mask, 71 multiplications.
     """
 
     def __init__(self, enc_phi: list[list[Ciphertext]], phi, params: EncodingParams,
                  keys: ElGamalKeys):
         p, e = keys.p, keys.p - 1 - keys.s
-        self.c1_phi, self.mask = [], []
+        self.mask = []
         for i, (row, phi_row) in enumerate(zip(enc_phi, phi, strict=True)):
             c1s, c2s = zip(*row)
             _check_in_group(c1s, i, "c1", p)
             _check_in_group(c2s, i, "c2", p)
-            self.c1_phi.append(c1s)
             self.mask.append([(j, pow(c1s[j], e, p)) for j, v in enumerate(phi_row) if v != 0.0])
             for j, mask in self.mask[-1]:
                 if c2s[j] * mask % p != encode(phi_row[j], params.delta_phi, p):
@@ -511,54 +510,41 @@ class PhiMasks:
                         f"{float(phi_row[j])!r}; the service holds another Phi")
 
     def prepare(self, pads: list[Pad], p: int) -> Prepared:
-        """The step's expected c1 rows and decryption factors."""
-        g_k, _, h_inv_k = zip(*pads)
-        c1 = tuple([tuple([c * g % p for c, g in zip(row, g_k, strict=True)])
-                    for row in self.c1_phi])
-        factors = [[(j, m * h_inv_k[j] % p) for j, m in row] for row in self.mask]
-        return Prepared(c1, factors)
+        """The step's decryption factors."""
+        h_inv_k = [pad.h_inv_k for pad in pads]
+        return Prepared([[(j, m * h_inv_k[j] % p) for j, m in row] for row in self.mask])
 
 
-def dec_plus(products: list[list[Ciphertext]], params: EncodingParams,
-             keys: ElGamalKeys, bounds=None, *, prepared: Prepared | None = None) -> list[float]:
-    """Decrypt and decode the products, then sum each row in plaintext.
+def dec_plus(products: list[list[int]], params: EncodingParams, keys: ElGamalKeys,
+             bounds=None, *, prepared: Prepared) -> list[float]:
+    """Decrypt and decode the products' c2 halves, then sum each row in plaintext.
 
-    Summation is left-to-right by column index for determinism. When the
-    per-entry `bounds` from the overflow guard are supplied, any decoded
-    product outside its bound aborts: that can only happen through modular
-    wraparound, i.e. a scale misconfiguration. A product whose c1 or c2 is
-    outside [1, p) raises ReplyIntegrityError: no honest reply holds one.
-
+    `products` holds the c2 of each product, as `enc_eval` returns them.
     Dec+ decrypts the products `prepared` has factors for, by one
-    multiplication each. Made ahead by `PhiMasks.prepare`, it also holds the
-    c1 every product must carry, and ReplyIntegrityError names the first
-    that does not. Without `prepared` every product is decrypted by powers
-    (`power_factors` with no zero mask).
+    multiplication each: `PhiMasks.prepare` makes them ahead of the reply,
+    `power_factors` by powers from the full products. Summation is
+    left-to-right by column index for determinism. A c2 outside [1, p)
+    raises ReplyIntegrityError: no honest reply holds one. When the
+    per-entry `bounds` from the overflow guard are supplied, any decoded
+    product outside its bound raises DecodeOverflowError. That happens
+    through modular wraparound, from a scale misconfiguration, or from a
+    c2 that is not this step's: a stale or altered c2 decrypts to a value
+    spread over the whole group (see README, "Known limits").
     """
-    if keys.s is None:
-        raise ValueError("secret exponent required for decryption")
     p = keys.p
-    expected, factors = power_factors(products, keys) if prepared is None else prepared
-    c2_rows = []
-    for i, row in enumerate(products):  # the whole reply is checked before any product is decoded
-        c1s, c2s = zip(*row)
-        if expected is not None and c1s != expected[i]:
-            j = next(j for j, (c1, want) in enumerate(zip(c1s, expected[i])) if c1 != want)
-            raise ReplyIntegrityError(
-                f"product ({i+1},{j+1}): c1 is not Enc(Phi)'s c1 times this step's "
-                f"g^k; the reply was altered or replayed")
+    for i, c2s in enumerate(products):  # the whole reply is checked before any product is decoded
         _check_in_group(c2s, i, "c2", p)
-        c2_rows.append(c2s)
     combined = params.delta_xi * params.delta_phi
     psi = []
-    for i, (c2s, row_factors) in enumerate(zip(c2_rows, factors, strict=True)):
+    for i, (c2s, row_factors) in enumerate(zip(products, prepared.factors, strict=True)):
         total = 0.0
         for j, factor in row_factors:
             val = decode(c2s[j] * factor % p, combined, p)
             if bounds is not None and abs(val) > bounds[i][j] * (1.0 + 1e-12):
                 raise DecodeOverflowError(
                     f"decoded product ({i+1},{j+1}) = {val!r} exceeds its bound "
-                    f"{bounds[i][j]!r}; check delta/key-size configuration")
+                    f"{bounds[i][j]!r}: the reply was altered or replayed, or the "
+                    f"delta/key-size configuration is wrong")
             total += val
         psi.append(total)
     return psi

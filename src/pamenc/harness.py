@@ -23,7 +23,6 @@ import numpy as np
 
 from .controller import ControllerInput, ControllerState, clamp_u, original_step
 from .crypto import (
-    Ciphertext,
     Drbg,
     ElGamalKeys,
     EncodingParams,
@@ -248,16 +247,17 @@ class EncryptedController(MatrixController):
     No modular power runs in a step. `__init__` obtains Enc(Phi) once: its
     own, encrypted with the fixed-base tables from 90 pads drawn from the
     nonce stream before any step's pad (the same ciphertexts as without
-    the tables, and no power), or over a session the
-    service's (Enc(1) with nonce 0 is (1, 1), so the reply to 18 copies of
-    it is Enc(Phi) itself). It computes the session masks from it with
+    the tables, and no power), or over a session the service's, fetched
+    with one set-up request. It computes the session masks from it with
     `crypto.PhiMasks`, which refuses a service holding another Phi.
     `refill`, between steps, draws the next step's 18 nonce pads from the
     fixed-base tables of g and h (`crypto.FixedBase`, one modular inverse)
-    and prepares its Dec+: the 90 c1 the reply must carry and one
-    decryption factor per nonzero Phi entry. A step that finds no refill
-    makes its own; no pad serves two steps. A reply whose c1 does not match,
-    or with a c1 or c2 outside [1, p), raises `crypto.ReplyIntegrityError`.
+    and prepares its Dec+: one decryption factor per nonzero Phi entry. A
+    step that finds no refill makes its own; no pad serves two steps. The
+    products come back as their c2 halves only. A c2 outside [1, p) raises
+    `crypto.ReplyIntegrityError`, as does, over a session, a reply with
+    another sequence number; a stale or altered c2 almost surely decodes
+    outside its bound, `crypto.DecodeOverflowError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -274,7 +274,7 @@ class EncryptedController(MatrixController):
         self.session = session
         self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
         self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng, self.tables)
-                        if session is None else session.eval([Ciphertext(1, 1)] * 18))
+                        if session is None else session.fetch_enc_phi())
         self.masks = PhiMasks(self.enc_phi, self.phi.tolist(), self.encoding, keys)
         # the next step's pads and prepared Dec+, until it takes them
         self._ready: tuple[list[Pad], Prepared] | None = None
@@ -352,7 +352,9 @@ def run_closed_loop(
     unless `measure_time` is set, keeping default traces byte-reproducible.
     An encrypted controller's offline refill runs before each step's sensor
     sample, outside that time; with `measure_time` its total is the trace's
-    `offline_time`.
+    `offline_time`. A non-finite measured angle, pressure or stiffness
+    raises ValueError naming the sensor and the step, before the controller
+    sees it.
     Nonces are OS-random unless `nonce_seed` is set (the trace is the same
     either way: decryption is exact); `record_xi` needs approx or encrypted.
     """
@@ -388,8 +390,13 @@ def run_closed_loop(
             if noise_pressure:
                 p1_meas += noise.normal(0.0, noise_pressure)
                 p2_meas += noise.normal(0.0, noise_pressure)
+        if not (math.isfinite(theta_meas) and math.isfinite(p1_meas)
+                and math.isfinite(p2_meas)):
+            _refuse_sensors(k, t, theta=theta_meas, p1=p1_meas, p2=p2_meas)
         kp_meas = measured_stiffness(
             PlantState(theta_meas, state.theta_dot, p1_meas, p2_meas), pam)
+        if not math.isfinite(kp_meas):
+            _refuse_sensors(k, t, k_p=kp_meas)
 
         zin = ControllerInput(P1=p1_meas, P2=p2_meas, theta=theta_meas,
                               theta_ref=math.radians(th_ref_deg), kp_ref=kp_ref)
@@ -437,6 +444,13 @@ def run_closed_loop(
 
     return SimTrace(columns=cols, xi=xi_log,
                     offline_time=offline_time if measure_time else 0.0)
+
+
+def _refuse_sensors(k: int, t: float, **readings: float) -> None:
+    """Raise ValueError naming the first non-finite sensor reading and the step."""
+    for name, v in readings.items():
+        if not math.isfinite(v):
+            raise ValueError(f"sensor {name} = {v!r} at step {k} (t = {t:g} s) is not finite")
 
 
 def l2_score(z: Sequence[float], z_ref: Sequence[float], window: MetricWindow) -> float:

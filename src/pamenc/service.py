@@ -2,8 +2,12 @@
 
 The service holds only the encrypted controller matrix and the public
 modulus: it multiplies ciphertexts and never sees the secret key or any
-plaintext. The device encrypts xi, sends an EVAL_REQUEST per control step,
-and runs Dec+ on the 90 product ciphertexts in the response.
+plaintext. At set-up the device fetches Enc(Phi) with one PHI_REQUEST and
+checks it (`crypto.PhiMasks`). Each control step it encrypts xi and sends
+an EVAL_REQUEST with the next sequence number; the service answers with
+the c2 halves of the 90 products under the same number, and the device
+runs Dec+ on them. The device refuses a reply with any other number, so a
+replayed or reordered reply frame ends the session.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import threading
 from itertools import chain
 
 from . import protocol
-from .crypto import Ciphertext, enc_eval
+from .crypto import Ciphertext, ReplyIntegrityError, enc_eval
 from .protocol import (
     ERR_INTERNAL,
     ERR_MALFORMED,
@@ -21,7 +25,10 @@ from .protocol import (
     MSG_ERROR,
     MSG_EVAL_REQUEST,
     MSG_EVAL_RESPONSE,
+    MSG_PHI_REQUEST,
+    MSG_PHI_RESPONSE,
     PROTOCOL_VERSION,
+    SEQUENCE_MODULUS,
     ProtocolError,
 )
 
@@ -85,12 +92,19 @@ class ControllerService:
                     if version != PROTOCOL_VERSION:
                         raise ProtocolError(ERR_VERSION,
                                             f"server speaks version {PROTOCOL_VERSION}, got {version}")
+                    if msg_type == MSG_PHI_REQUEST:
+                        if payload:
+                            raise ProtocolError(ERR_MALFORMED, "set-up request with a payload")
+                        conn.sendall(protocol.pack_phi_response(
+                            list(chain.from_iterable(self._enc_phi))))
+                        continue
                     if msg_type != MSG_EVAL_REQUEST:
                         raise ProtocolError(ERR_MALFORMED, f"unexpected message type {msg_type:#x}")
-                    enc_xi = protocol.parse_counted_ciphertexts(payload, protocol.REQUEST_COUNT)
+                    seq, rest = protocol.split_sequence(payload)
+                    enc_xi = protocol.parse_counted_ciphertexts(rest, protocol.REQUEST_COUNT)
                     products = enc_eval(self._enc_phi, enc_xi, self._p)
                     flat = list(chain.from_iterable(products))
-                    conn.sendall(protocol.pack_eval_response(flat))
+                    conn.sendall(protocol.pack_eval_response(flat, seq))
                 except ProtocolError as exc:
                     self._send_error(conn, exc.code, exc.reason)
                     return
@@ -135,31 +149,61 @@ class ControllerService:
 
 
 class DeviceSession:
-    """Client session: sends encrypted xi vectors, receives product matrices."""
+    """Client session: fetches Enc(Phi), then sends encrypted xi vectors and
+    receives the c2 of each product.
+
+    `seq` is the sequence number of the next step request. It starts at 0
+    and wraps at 2^32; a reply must carry its request's number.
+    """
 
     def __init__(self, address: tuple[str, int], timeout: float = DEFAULT_TIMEOUT):
         self._sock = socket.create_connection(address, timeout=max(timeout, 0.05))
         self._sock.settimeout(timeout)
+        self.seq = 0
 
-    def eval(self, enc_xi: list[Ciphertext]) -> list[list[Ciphertext]]:
-        """One round trip; returns the 5x18 product ciphertext matrix.
+    def _exchange(self, frame: bytes, reply_type: int) -> bytes:
+        """Send one frame and return the payload of its reply, which must be `reply_type`."""
+        self._sock.sendall(frame)
+        try:
+            msg_type, version, payload = protocol.read_frame(self._sock)
+        except socket.timeout:
+            raise TimeoutError("controller service response deadline exceeded") from None
+        if msg_type == MSG_ERROR:
+            raise protocol.parse_error(payload)
+        if version != PROTOCOL_VERSION:
+            raise ProtocolError(ERR_VERSION, f"device speaks {PROTOCOL_VERSION}, got {version}")
+        if msg_type != reply_type:
+            raise ProtocolError(ERR_MALFORMED, f"unexpected message type {msg_type:#x}")
+        return payload
+
+    def fetch_enc_phi(self) -> list[list[Ciphertext]]:
+        """Set-up: the service's Enc(Phi), 5 rows of 18 ciphertexts."""
+        try:
+            payload = self._exchange(protocol.pack_phi_request(), MSG_PHI_RESPONSE)
+            flat = protocol.parse_counted_ciphertexts(payload, protocol.RESPONSE_COUNT)
+        except BaseException:
+            self.close()
+            raise
+        return [flat[i * 18:(i + 1) * 18] for i in range(5)]
+
+    def eval(self, enc_xi: list[Ciphertext]) -> list[list[int]]:
+        """One round trip; returns the c2 of each product, 5 rows of 18.
 
         Any failure closes the session, so a late reply can never be read
-        as the answer to a later request; a later call raises OSError.
+        as the answer to a later request; a later call raises OSError. A
+        reply with another sequence number than the request's raises
+        ReplyIntegrityError naming both.
         """
+        seq = self.seq
+        self.seq = (seq + 1) % SEQUENCE_MODULUS
         try:
-            self._sock.sendall(protocol.pack_eval_request(enc_xi))
-            try:
-                msg_type, version, payload = protocol.read_frame(self._sock)
-            except socket.timeout:
-                raise TimeoutError("controller service response deadline exceeded") from None
-            if msg_type == MSG_ERROR:
-                raise protocol.parse_error(payload)
-            if version != PROTOCOL_VERSION:
-                raise ProtocolError(ERR_VERSION, f"device speaks {PROTOCOL_VERSION}, got {version}")
-            if msg_type != MSG_EVAL_RESPONSE:
-                raise ProtocolError(ERR_MALFORMED, f"unexpected message type {msg_type:#x}")
-            flat = protocol.parse_counted_ciphertexts(payload, protocol.RESPONSE_COUNT)
+            payload = self._exchange(protocol.pack_eval_request(enc_xi, seq), MSG_EVAL_RESPONSE)
+            got, rest = protocol.split_sequence(payload)
+            if got != seq:
+                raise ReplyIntegrityError(
+                    f"reply carries sequence number {got}, the request {seq}; "
+                    f"the reply was replayed or reordered")
+            flat = protocol.parse_counted_integers(rest, protocol.RESPONSE_COUNT)
         except BaseException:
             self.close()
             raise

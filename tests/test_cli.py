@@ -98,15 +98,17 @@ class TestSimulate:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "t.csv").exists()
 
-    def test_nan_noise_writes_nan_cells(self, workspace, short_profile, tmp_path):
-        # non-finite cells used to stop the CSV writer after the whole run
+    def test_nan_noise_writes_nan_cells(self, workspace, short_profile, tmp_path, capsys):
+        # the loop refuses a NaN sensor at step 0, so no trace is written;
+        # TestTraceCsv covers writing and reading NaN cells
         out = tmp_path / "t.csv"
         rc = main(["simulate", "--mode", "approx", "--profile", str(short_profile),
                    "--warmup", "2", "--phi", str(workspace / "phi.csv"),
                    "--noise-pressure", "nan", "--out", str(out)])
-        assert rc == 0
-        trace = SimTrace.from_csv(out)
-        assert len(trace) == 100 and np.all(np.isnan(trace["p1"]))
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "pamenc: sensor p1 = nan at step 0 (t = 0 s) is not finite\n"
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--mode", "approx", "--profile", "ref2",
@@ -229,7 +231,8 @@ class TestServeIntegration:
                                           monkeypatch):
         from pamenc import ControllerService, Drbg, EncodingParams, crypto, enc_matrix, service
 
-        # a service that answers every request with its reply to the first
+        # a service that answers every step request with its reply to the first, under
+        # the current sequence number: the stale c2 decode outside their bounds
         replies = []
 
         def replaying_enc_eval(enc_phi, enc_xi, p):
@@ -245,20 +248,40 @@ class TestServeIntegration:
         assert len(replies) == 2
         err = capsys.readouterr().err
         assert "altered or replayed" in err and len(err.splitlines()) == 1
+        assert "exceeds its bound" in err
 
-    def test_first_reply_c1_of_zero_exits_runtime(self, workspace, short_profile, tmp_path,
-                                                  capsys, monkeypatch):
-        from pamenc import ControllerService, Drbg, EncodingParams, crypto, enc_matrix, service
+    def test_replayed_frame_exits_runtime(self, workspace, short_profile, tmp_path, capsys,
+                                          monkeypatch):
+        from pamenc import ControllerService, Drbg, EncodingParams, enc_matrix, protocol
 
-        # a service whose first reply carries c1 = 0 on product (4,10)
-        def zeroing_enc_eval(enc_phi, enc_xi, p):
-            products = crypto.enc_eval(enc_phi, enc_xi, p)
-            products[3][9] = products[3][9]._replace(c1=0)
-            return products
+        # a service that sends its first reply frame again, sequence number and all
+        frames = []
+        pack = protocol.pack_eval_response
 
-        monkeypatch.setattr(service, "enc_eval", zeroing_enc_eval)
+        def replaying_pack(c2s, seq=0):
+            frames.append(pack(c2s, seq))
+            return frames[0]
+
+        monkeypatch.setattr(protocol, "pack_eval_response", replaying_pack)
         keys = load_keys(workspace / "key.sec")
         enc_phi = enc_matrix(load_phi(workspace / "phi.csv"), EncodingParams(), keys, Drbg(None))
+        with ControllerService(enc_phi, keys.p) as svc:
+            rc = _simulate_connected(workspace, short_profile, tmp_path, svc.address)
+        assert rc == EXIT_RUNTIME
+        assert len(frames) == 2
+        err = capsys.readouterr().err
+        assert err == ("pamenc: reply carries sequence number 0, the request 1; "
+                       "the reply was replayed or reordered\n")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_first_reply_c1_of_zero_exits_runtime(self, workspace, short_profile, tmp_path,
+                                                  capsys):
+        from pamenc import ControllerService, Drbg, EncodingParams, enc_matrix
+
+        # a service whose first reply, the set-up reply Enc(Phi), carries c1 = 0 on (4,10)
+        keys = load_keys(workspace / "key.sec")
+        enc_phi = enc_matrix(load_phi(workspace / "phi.csv"), EncodingParams(), keys, Drbg(None))
+        enc_phi[3][9] = enc_phi[3][9]._replace(c1=0)
         with ControllerService(enc_phi, keys.p) as svc:
             rc = _simulate_connected(workspace, short_profile, tmp_path, svc.address)
         assert rc == EXIT_RUNTIME

@@ -57,6 +57,16 @@ def keys32():
     return keygen(bits=32, seed=7)
 
 
+def hom_products(enc_phi, enc_xi, p):
+    """The full products, c1 and c2, by `hom_mul`: the input of decryption by powers."""
+    return [[hom_mul(a, x, p) for a, x in zip(row, enc_xi)] for row in enc_phi]
+
+
+def c2_of(products):
+    """The c2 halves of full products: what `enc_eval` returns and Dec+ decrypts."""
+    return [[ct.c2 for ct in row] for row in products]
+
+
 class TestKeygen:
     def test_deterministic(self):
         a = keygen(bits=16, seed=5)
@@ -264,10 +274,10 @@ class TestHomomorphism:
                    for _ in range(5)]
         enc_xi = [encrypt(rng.randrange(1, keys64.p), keys64, rng) for _ in range(18)]
         products = enc_eval(enc_phi, enc_xi, keys64.p)
-        assert products == [[hom_mul(a, x, keys64.p) for a, x in zip(row, enc_xi)]
+        # the c2 half of each product only: Dec+ decrypts from c2 and a factor made ahead
+        assert products == [[hom_mul(a, x, keys64.p).c2 for a, x in zip(row, enc_xi)]
                             for row in enc_phi]
-        assert all(type(ct) is Ciphertext for row in products for ct in row)
-        assert products[0][0]._replace(c1=1) == Ciphertext(1, products[0][0].c2)
+        assert all(type(c2) is int for row in products for c2 in row)
 
 
 # primes of 64, 100, 128, 256 and 512 bits; 100 is not a whole number of table rows
@@ -386,7 +396,8 @@ class TestMatrixPipeline:
         xi = np.zeros(18)
         xi[11] = 475.0
         enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
-        products = enc_eval(enc_phi, enc_xi, keys64.p)
+        products = hom_products(enc_phi, enc_xi, keys64.p)
+        assert enc_eval(enc_phi, enc_xi, keys64.p) == c2_of(products)
         # column j of the product matrix uses only xi_j
         for i in range(5):
             got = decode(decrypt(products[i][11], keys64),
@@ -403,7 +414,8 @@ class TestMatrixPipeline:
             xi = np.array([np_rng.uniform(-b, b) for b in enc.xi_bounds])
             xi[15] = 1.0
             enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
-            psi = dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64, bounds)
+            psi = dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64, bounds,
+                           prepared=power_factors(hom_products(enc_phi, enc_xi, keys64.p), keys64))
             want = phi @ xi
             # per-row analytic bound from the encoding resolution
             bound = (np.sum(np.abs(phi), axis=1) / enc.delta_xi
@@ -419,9 +431,9 @@ class TestMatrixPipeline:
         xi = np.zeros(18)
         xi[0] = 6.0
         enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
-        products = enc_eval(enc_phi, enc_xi, keys64.p)
-        psi = dec_plus(products, enc, keys64,
-                       prepared=power_factors(products, keys64, phi == 0.0))
+        psi = dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64,
+                       prepared=power_factors(hom_products(enc_phi, enc_xi, keys64.p), keys64,
+                                              phi == 0.0))
         # the 17 zero xi entries encode as 1, costing up to sum|phi_i|/delta_xi per row
         tol = np.sum(np.abs(phi), axis=1) / enc.delta_xi + 1e-6
         assert np.all(np.abs(np.array(psi) - phi[:, 0] * 6.0) <= tol)
@@ -435,9 +447,9 @@ class TestMatrixPipeline:
         enc_phi = enc_matrix(ident, enc, keys64, rng)
         xi = np.linspace(0.5, 9.0, 18)
         enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
-        products = enc_eval(enc_phi, enc_xi, keys64.p)
-        psi = dec_plus(products, enc, keys64,
-                       prepared=power_factors(products, keys64, ident == 0.0))
+        psi = dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64,
+                       prepared=power_factors(hom_products(enc_phi, enc_xi, keys64.p), keys64,
+                                              ident == 0.0))
         assert np.array(psi) == pytest.approx(xi[:5], abs=1e-6)
 
     def test_decode_overflow_detected(self, keys64):
@@ -450,11 +462,12 @@ class TestMatrixPipeline:
         xi = np.full(18, 900.0)
         enc_xi = enc_vector(xi, enc.delta_xi, keys64, rng)
         with pytest.raises(DecodeOverflowError):
-            dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64, bounds)
+            dec_plus(enc_eval(enc_phi, enc_xi, keys64.p), enc, keys64, bounds,
+                     prepared=power_factors(hom_products(enc_phi, enc_xi, keys64.p), keys64))
 
 
 class TestOnlineDecPlus:
-    """Session masks from Enc(Phi): the same psi as decryption by powers, with c1 checked."""
+    """Session masks from Enc(Phi): from the c2 halves alone, the psi of decryption by powers."""
 
     @staticmethod
     def _session(keys, phi):
@@ -476,15 +489,19 @@ class TestOnlineDecPlus:
                                       (keygen(bits=bits, seed=bits) for bits in (128, 256))]
 
     def _step(self, s, keys, xi, pads=None):
+        """The step's full products, whose c2 halves are `enc_eval`'s, and its pads."""
         if pads is None:
             pads = draw_pads(18, keys, s["rng"], s["tables"])
-        products = enc_eval(s["enc_phi"], enc_vector(xi, s["enc"].delta_xi, keys, pads=pads),
-                            keys.p)
+        enc_xi = enc_vector(xi, s["enc"].delta_xi, keys, pads=pads)
+        products = hom_products(s["enc_phi"], enc_xi, keys.p)
+        assert enc_eval(s["enc_phi"], enc_xi, keys.p) == c2_of(products)
         return products, pads
 
     @staticmethod
     def _dec(s, keys, products, prepared=None):
-        return dec_plus(products, s["enc"], keys, s["bounds"], prepared=prepared)
+        """Dec+ of the products' c2 halves; without `prepared`, every product by powers."""
+        return dec_plus(c2_of(products), s["enc"], keys, s["bounds"],
+                        prepared=prepared or power_factors(products, keys))
 
     def _by_powers(self, s, keys, products):
         return self._dec(s, keys, products, power_factors(products, keys, s["zero_mask"]))
@@ -530,36 +547,50 @@ class TestOnlineDecPlus:
                 products, _ = self._step(s, keys, xi, pads)
                 assert self._dec(s, keys, products, prepared) == self._by_powers(s, keys, products)
 
-    def test_altered_or_replayed_c1_rejected(self, session, keys64):
+    def test_altered_or_replayed_c1_rejected(self, session, keys64, phi):
+        # a reply carries no c1: a replayed or altered c2 decodes outside its bound, and
+        # the c1 left to alter, Enc(Phi)'s, is refused at set-up, where the masks come from it
         first, products, prepared = self._two_steps(session, keys64)
-        with pytest.raises(ReplyIntegrityError):  # step 1's reply to step 2's request
-            self._dec(session, keys64, first, prepared)
+        with pytest.raises(DecodeOverflowError, match="altered or replayed"):
+            self._dec(session, keys64, first, prepared)  # step 1's reply to step 2's request
         ct = products[1][4]
-        products[1][4] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
-        with pytest.raises(ReplyIntegrityError, match=r"\(2,5\)"):
+        products[1][4] = Ciphertext(ct.c1, ct.c2 * keys64.g % keys64.p)
+        with pytest.raises(DecodeOverflowError, match=r"\(2,5\)"):
             self._dec(session, keys64, products, prepared)
+        enc_phi = [list(row) for row in session["enc_phi"]]
+        ct = enc_phi[1][4]
+        enc_phi[1][4] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
+        with pytest.raises(ReplyIntegrityError, match=re.escape("Enc(Phi)[2][5] does not")):
+            PhiMasks(enc_phi, phi, session["enc"], keys64)
 
     @pytest.mark.parametrize("altered, named", [
-        ([(2, 6), (1, 4)], "(2,5)"),   # two bad rows: the first in row-major order is named
-        ([(1, 11), (1, 4)], "(2,5)"),  # two bad products in one row: the first is named
-        ([(4, 17)], "(5,18)"),         # the last product of the last row
+        ([(2, 6), (1, 4)], "[2][5]"),   # two bad rows: the first in row-major order is named
+        ([(1, 11), (1, 4)], "[2][5]"),  # two bad entries in one row: the first is named
+        ([(4, 17)], "[5][18]"),         # the last entry of the last row
     ], ids=["first-of-two-rows", "first-in-its-row", "last-product"])
-    def test_c1_check_names_the_first_altered_product(self, altered, named, session, keys64):
-        _, products, prepared = self._two_steps(session, keys64)
+    def test_c1_check_names_the_first_altered_product(self, altered, named, session, keys64,
+                                                      phi):
+        # the c1 checked is Enc(Phi)'s, at set-up: an altered one gives a mask that does
+        # not decrypt its entry of Phi
+        enc_phi = [list(row) for row in session["enc_phi"]]
         for i, j in altered:
-            ct = products[i][j]
-            products[i][j] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
-        with pytest.raises(ReplyIntegrityError, match=re.escape(named)):
-            self._dec(session, keys64, products, prepared)
+            ct = enc_phi[i][j]
+            enc_phi[i][j] = Ciphertext(ct.c1 * keys64.g % keys64.p, ct.c2)
+        with pytest.raises(ReplyIntegrityError, match=re.escape(f"Enc(Phi){named} does not")):
+            PhiMasks(enc_phi, phi, session["enc"], keys64)
 
     def test_prepare_skips_the_zero_entries(self, session, keys64, phi):
         first, pads = self._step(session, keys64, np.full(18, 0.1))
         nonzero = int(np.count_nonzero(phi))
         assert sum(len(row) for row in session["masks"].mask) == nonzero == 71
         prepared = session["masks"].prepare(pads, keys64.p)
-        assert [len(row) for row in prepared.c1] == [18] * 5
         assert sum(len(row) for row in prepared.factors) == nonzero
-        assert prepared.c1 == tuple(tuple(ct.c1 for ct in row) for row in first)
+        # one factor per nonzero entry and nothing of c1: each factor is its product's c1^-s
+        assert prepared._fields == ("factors",)
+        e = keys64.p - 1 - keys64.s
+        for i, row in enumerate(prepared.factors):
+            for j, factor in row:
+                assert factor == pow(first[i][j].c1, e, keys64.p)
 
     @pytest.mark.parametrize("step", [1, 2])
     @pytest.mark.parametrize("learned", [True, False], ids=["masks", "powers"])

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from pamenc import crypto, harness, pam
+from pamenc import crypto, harness, pam, protocol, service
 from pamenc import (
     CANONICAL_WINDOWS,
     DEFAULT_GAINS,
@@ -35,7 +35,7 @@ from pamenc import (
     run_closed_loop,
     window_tracking_stats,
 )
-from pamenc.crypto import ReplyIntegrityError, find_session_key
+from pamenc.crypto import DecodeOverflowError, ReplyIntegrityError, find_session_key
 from pamenc.harness import EncryptedController, load_profile
 
 
@@ -216,6 +216,32 @@ class TestClosedLoop:
         for col in ("theta_deg", "k_p", "u1", "u2", "p1", "p2"):
             assert np.array_equal(in_proc[col], net[col])
 
+    @pytest.mark.parametrize("mode", ["original", "approx", "encrypted"])
+    @pytest.mark.parametrize("noise, named", [
+        (dict(noise_pressure=float("nan")), "sensor p1 = nan at step 0 (t = 0 s)"),
+        (dict(noise_theta=float("inf")), "sensor theta = inf at step 0 (t = 0 s)"),
+    ], ids=["nan-pressure", "inf-angle"])
+    def test_non_finite_sensor_is_named(self, mode, noise, named, short_profile, phi, keys):
+        # refused by name before any controller sees it, the plaintext ones included
+        seen = []
+        with pytest.raises(ValueError, match=re.escape(named) + " is not finite"):
+            run_closed_loop(mode, short_profile, phi=phi, keys=keys, warmup=2.0,
+                            on_step=lambda k, c: seen.append(k), **noise)
+        assert seen == []
+
+    @pytest.mark.parametrize("mode", ["original", "approx", "encrypted"])
+    def test_non_finite_stiffness_is_named_at_its_step(self, mode, short_profile, phi, keys,
+                                                       monkeypatch):
+        calls = []
+
+        def stiffness(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 38 else pam.measured_stiffness(*args)
+
+        monkeypatch.setattr(harness, "measured_stiffness", stiffness)
+        with pytest.raises(ValueError, match=re.escape("sensor k_p = nan at step 37 (t = 0.74")):
+            run_closed_loop(mode, short_profile, phi=phi, keys=keys, warmup=2.0)
+
     def test_measure_time_populates_column(self, short_profile, phi, keys):
         trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
                                 warmup=2.0, measure_time=True)
@@ -268,6 +294,41 @@ class TestCallRouting:
         assert len(trace) == 10
         assert counts == {name: 10 if name in called else 0 for name in self.NAMES}
 
+    def test_one_wire_call_per_step_over_loopback(self, phi, keys, monkeypatch):
+        # the set-up exchange runs none of these: it has a message of its own
+        counts = dict.fromkeys(("build_xi", "poly_step", "enc_vector", "enc_eval", "dec_plus",
+                                "DeviceSession.eval", "pack_eval_request", "parse_request",
+                                "service.enc_eval", "pack_eval_response"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        parse = protocol.parse_counted_ciphertexts
+
+        def counting_parse(payload, expected):
+            # one parser serves both directions; the service parses the 18-entry requests
+            counts["parse_request"] += expected == protocol.REQUEST_COUNT
+            return parse(payload, expected)
+
+        for name in ("build_xi", "poly_step", "enc_vector", "enc_eval", "dec_plus"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        monkeypatch.setattr(DeviceSession, "eval", counting("DeviceSession.eval",
+                                                            DeviceSession.eval))
+        for name in ("pack_eval_request", "pack_eval_response"):
+            monkeypatch.setattr(protocol, name, counting(name, getattr(protocol, name)))
+        monkeypatch.setattr(protocol, "parse_counted_ciphertexts", counting_parse)
+        monkeypatch.setattr(service, "enc_eval", counting("service.enc_eval", service.enc_eval))
+        enc_phi = enc_matrix(phi, EncodingParams(), keys, Drbg(40))
+        with ControllerService(enc_phi, keys.p) as svc, \
+                DeviceSession(svc.address, timeout=2.0) as dev:
+            trace = run_closed_loop("encrypted", ReferenceProfile(((0.0, 0.2, 5.0, 6.0),)),
+                                    phi=phi, keys=keys, warmup=0.2, session=dev)
+        assert len(trace) == 10
+        assert counts == {name: 0 if name == "enc_eval" else 10 for name in counts}
+
     def test_one_plant_call_per_period(self, monkeypatch):
         # one call integrates the warm-up, then one call each control period
         substeps = []
@@ -286,16 +347,20 @@ ZIN = ControllerInput(P1=450.0, P2=450.0, theta=0.0, theta_ref=math.radians(5.0)
 
 
 class FakeSession:
-    """Stands in for a DeviceSession: computes the products, then lets `tamper` edit them."""
+    """Stands in for a DeviceSession: hands out Enc(Phi), after `set_up` may edit a copy
+    of it, and answers step k with the products' c2 halves, after `tamper(k, c2s, self)`."""
 
-    def __init__(self, enc_phi, p, tamper):
-        self.enc_phi, self.p, self.tamper = enc_phi, p, tamper
+    def __init__(self, enc_phi, p, tamper, set_up=lambda enc_phi: enc_phi):
+        self.enc_phi, self.p, self.tamper, self.set_up = enc_phi, p, tamper, set_up
         self.replies = []
+
+    def fetch_enc_phi(self):
+        return self.set_up([list(row) for row in self.enc_phi])
 
     def eval(self, enc_xi):
         products = enc_eval(self.enc_phi, enc_xi, self.p)
         self.replies.append(products)
-        return self.tamper(len(self.replies), products, self.replies)
+        return self.tamper(len(self.replies), products, self)
 
 
 class TestOnlineOffline:
@@ -400,17 +465,19 @@ class TestOnlineOffline:
         for xi, got in zip(xis, requests):
             assert got == crypto.enc_vector(xi, EncodingParams().delta_xi, keys, rng)
 
-    # reply 1 is the set-up reply, Enc(Phi); reply k + 1 answers step k
+    # a reply holds c2 only, so there is no c1 to compare: a stale or altered c2 decrypts
+    # to a value spread over the group, which Dec+'s bound check refuses
     @pytest.mark.parametrize("tamper, completed", [
-        (lambda k, prods, _: [[ct._replace(c1=ct.c1 + 1) if (k, i, j) == (4, 0, 4) else ct
-                               for j, ct in enumerate(row)] for i, row in enumerate(prods)], 2),
-        (lambda k, prods, replies: replies[1] if k == 3 else prods, 1),
-        (lambda k, prods, replies: replies[0] if k == 2 else prods, 0),
-    ], ids=["c1-altered-at-step-3", "step-1-replayed-at-step-2", "set-up-replayed-at-step-1"])
+        (lambda k, prods, _: [[c2 + 1 if (k, i, j) == (3, 1, 4) else c2
+                               for j, c2 in enumerate(row)] for i, row in enumerate(prods)], 2),
+        (lambda k, prods, s: s.replies[0] if k == 2 else prods, 1),
+        (lambda k, prods, s: [[ct.c2 for ct in row] for row in s.enc_phi] if k == 1 else prods,
+         0),
+    ], ids=["c2-altered-at-step-3", "step-1-replayed-at-step-2", "set-up-replayed-at-step-1"])
     def test_tampered_reply_is_named(self, tamper, completed, phi, keys, enc_phi, short_profile):
-        # Dec+ by powers would read these as some other plaintext, or a DecodeOverflowError
+        assert phi[1][4] != 0.0  # a product Dec+ decrypts
         seen = []
-        with pytest.raises(ReplyIntegrityError, match="altered or replayed"):
+        with pytest.raises(DecodeOverflowError, match="altered or replayed"):
             run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
                             session=FakeSession(enc_phi, keys.p, tamper),
                             on_step=lambda k, c: seen.append(k))
@@ -421,9 +488,8 @@ class TestOnlineOffline:
     def test_c2_outside_the_group_is_named(self, c2_of, step, phi, keys, enc_phi, short_profile):
         # c2 = 0 used to surface as decode's bare ValueError; c2 + p decrypted like c2
         def tamper(k, prods, _):
-            if k == step + 1:
-                ct = prods[3][9]
-                prods[3][9] = ct._replace(c2=c2_of(ct.c2, keys.p))
+            if k == step:
+                prods[3][9] = c2_of(prods[3][9], keys.p)
             return prods
 
         seen = []
@@ -440,8 +506,8 @@ class TestOnlineOffline:
         assert phi[0][0] == 0.0
 
         def tamper(k, prods, _):
-            if k == step + 1:
-                prods[0][0] = prods[0][0]._replace(c2=0)
+            if k == step:
+                prods[0][0] = 0
             return prods
 
         seen = []
@@ -453,16 +519,16 @@ class TestOnlineOffline:
 
     def test_first_reply_c1_of_zero_is_named(self, phi, keys, enc_phi, short_profile):
         # the first reply is the set-up reply, Enc(Phi) itself: refused before any step
-        def tamper(k, prods, _):
-            if k == 1:
-                prods[3][9] = prods[3][9]._replace(c1=0)
-            return prods
+        def set_up(enc_phi):
+            enc_phi[3][9] = enc_phi[3][9]._replace(c1=0)
+            return enc_phi
 
-        session, seen = FakeSession(enc_phi, keys.p, tamper), []
+        session = FakeSession(enc_phi, keys.p, lambda k, prods, _: prods, set_up)
+        seen = []
         with pytest.raises(ReplyIntegrityError, match=r"product \(4,10\): c1 = 0 is outside"):
             run_closed_loop("encrypted", short_profile, phi=phi, keys=keys, warmup=2.0,
                             session=session, on_step=lambda k, c: seen.append(k))
-        assert len(session.replies) == 1 and seen == []
+        assert session.replies == [] and seen == []
 
     def test_service_holding_another_phi_is_named_at_set_up(self, phi, keys):
         # one entry off by 1 %: before, every step ran on the service's Phi
@@ -486,7 +552,6 @@ class TestOnlineOffline:
         assert len(masks) == 71
         for i, j, m in masks:
             assert m == pow(ctl.enc_phi[i][j].c1, e, p)
-        assert ctl.masks.c1_phi == [tuple(ct.c1 for ct in row) for row in ctl.enc_phi]
 
     def test_refill_prepares_dec_plus_outside_the_step(self, phi, keys, enc_phi, monkeypatch):
         in_psi, prepared_in_psi = [], []
@@ -506,7 +571,7 @@ class TestOnlineOffline:
         monkeypatch.setattr(EncryptedController, "psi", marking_psi)
         monkeypatch.setattr(crypto.PhiMasks, "prepare", recording_prepare)
         session = FakeSession(enc_phi, keys.p,
-                              lambda k, prods, replies: replies[1] if k == 6 else prods)
+                              lambda k, prods, s: s.replies[0] if k == 5 else prods)
         ctl = EncryptedController(phi, keys, nonce_seed=3, session=session)
         devs = []
         for refill in (True, True, True, False):  # the last step finds no refill
@@ -518,7 +583,7 @@ class TestOnlineOffline:
         assert prepared_in_psi == [False, False, False, True]
         assert max(devs) <= 1e-4
         ctl.refill()
-        with pytest.raises(ReplyIntegrityError, match="altered or replayed"):
+        with pytest.raises(DecodeOverflowError, match="altered or replayed"):
             ctl.step(ZIN)  # step 1's reply to step 5's request
         assert prepared_in_psi[-1] is False
 

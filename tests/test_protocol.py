@@ -1,9 +1,11 @@
 """Wire framing, the networked service, and loopback equivalence."""
 
+import re
 import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,15 +25,18 @@ from pamenc import (
     enc_matrix,
     enc_vector,
     fit_controller_coeffs,
+    hom_mul,
     keygen,
 )
 from pamenc import protocol
+from pamenc.crypto import ReplyIntegrityError
 from pamenc.protocol import (
     ERR_COUNT,
     ERR_MALFORMED,
     ERR_VERSION,
     MSG_ERROR,
     MSG_EVAL_REQUEST,
+    MSG_EVAL_RESPONSE,
     PROTOCOL_VERSION,
     ProtocolError,
 )
@@ -71,14 +76,31 @@ class TestFraming:
     def test_frame_roundtrip_over_socketpair(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(protocol.pack_eval_request([Ciphertext(5, 9)] * 18))
+            a.sendall(protocol.pack_eval_request([Ciphertext(5, 9)] * 18, seq=2**32 - 1))
             msg_type, version, payload = protocol.read_frame(b)
-            assert msg_type == MSG_EVAL_REQUEST and version == PROTOCOL_VERSION
-            cts = protocol.parse_counted_ciphertexts(payload, 18)
+            assert msg_type == MSG_EVAL_REQUEST and version == PROTOCOL_VERSION == 3
+            seq, rest = protocol.split_sequence(payload)
+            assert seq == 2**32 - 1
+            cts = protocol.parse_counted_ciphertexts(rest, 18)
             assert cts == [Ciphertext(5, 9)] * 18
         finally:
             a.close()
             b.close()
+
+    def test_step_reply_roundtrip(self):
+        # the reply echoes the request's number and carries one integer per product
+        c2s = [1, 2**64 - 1, 12345] * 30
+        frame = protocol.pack_eval_response(c2s, seq=7)
+        assert len(frame) == 4 + 3 + 4 + 2 + 90 * 8
+        assert frame[4] == MSG_EVAL_RESPONSE
+        seq, rest = protocol.split_sequence(frame[7:])
+        assert seq == 7 and protocol.parse_counted_integers(rest, 90) == c2s
+
+    @pytest.mark.parametrize("payload", [b"", b"\x00\x00\x01"], ids=["empty", "three-bytes"])
+    def test_missing_sequence_number_rejected(self, payload):
+        with pytest.raises(ProtocolError) as err:
+            protocol.split_sequence(payload)
+        assert err.value.code == ERR_MALFORMED
 
     def test_truncated_payload_rejected(self):
         payload = struct.pack(">H", 2) + protocol.pack_ciphertexts([Ciphertext(5, 9)])
@@ -200,13 +222,20 @@ class TestService:
         assert got == want_bytes
 
     def test_set_up_request_is_answered_with_enc_phi(self, service, enc_phi):
-        # 18 copies of Enc(1) with nonce 0: one-byte integers, and Enc(Phi) * Enc(1) = Enc(Phi)
-        ones = [Ciphertext(1, 1)] * 18
-        frame = protocol.pack_eval_request(ones)
-        assert len(frame) == 4 + 3 + 2 + 36 * 1 == 45
-        assert protocol.parse_counted_ciphertexts(frame[7:], 18) == ones
+        # a message of its own, with no payload; the reply holds both halves of Enc(Phi)
+        frame = protocol.pack_phi_request()
+        assert len(frame) == 4 + 3
+        want = protocol.pack_phi_response([ct for row in enc_phi for ct in row])
+        assert len(want) == 4 + 3 + 2 + 180 * 8 == 1449
+        sock = socket.create_connection(service.address, timeout=2.0)
+        try:
+            sock.sendall(frame)
+            assert protocol.recv_exact(sock, len(want)) == want
+        finally:
+            sock.close()
         with DeviceSession(service.address, timeout=2.0) as dev:
-            assert dev.eval(ones) == enc_phi
+            assert dev.fetch_enc_phi() == enc_phi
+            assert dev.seq == 0  # set-up takes no sequence number
 
     def test_multiple_steps_one_session(self, service, enc_phi, keys):
         rng = Drbg(57)
@@ -278,7 +307,7 @@ class TestService:
                     if k == 1:
                         time.sleep(0.3)
                     try:
-                        conn.sendall(protocol.pack_eval_response([Ciphertext(k, k)] * 90))
+                        conn.sendall(protocol.pack_eval_response([k] * 90, seq=k - 1))
                     except OSError:
                         return
                     finally:
@@ -344,3 +373,145 @@ class TestService:
                 dev.close()
         assert elapsed < 0.5
         assert not set(threading.enumerate()) - before
+
+
+@contextmanager
+def fake_peer(answer):
+    """A one-connection peer on loopback. For the k-th frame it reads (k = 1, 2, ...) it
+    sends `answer(k, msg_type, version, payload)`, or hangs up when that is None."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            for k in range(1, 100):
+                try:
+                    reply = answer(k, *protocol.read_frame(conn))
+                    if reply is None:
+                        return
+                    conn.sendall(reply)
+                except OSError:
+                    return
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        listener.close()
+        thread.join(timeout=2.0)
+
+
+def honest_reply(enc_phi, p, payload, seq=None):
+    """The service's reply frame to a step request payload, under `seq` if given."""
+    got, rest = protocol.split_sequence(payload)
+    enc_xi = protocol.parse_counted_ciphertexts(rest, protocol.REQUEST_COUNT)
+    flat = [c2 for row in enc_eval(enc_phi, enc_xi, p) for c2 in row]
+    return protocol.pack_eval_response(flat, got if seq is None else seq)
+
+
+class TestSequence:
+    """A step reply must carry its request's sequence number; set-up takes none."""
+
+    def _xi(self, keys, seed):
+        return enc_vector(np.linspace(-1.0, 1.0, 18), 1e8, keys, Drbg(seed))
+
+    @pytest.mark.parametrize("case", ["replayed", "reordered"])
+    def test_stale_or_early_reply_frame_is_refused(self, case, enc_phi, keys):
+        frames = []
+
+        def answer(k, msg_type, version, payload):
+            if case == "replayed":  # request 2 gets the frame that answered request 1
+                frames.append(honest_reply(enc_phi, keys.p, payload))
+                return frames[0]
+            return honest_reply(enc_phi, keys.p, payload, seq=1)  # request 2's reply first
+
+        enc_xi = self._xi(keys, 70)
+        with fake_peer(answer) as address, DeviceSession(address, timeout=2.0) as dev:
+            if case == "replayed":
+                assert dev.eval(enc_xi) == enc_eval(enc_phi, enc_xi, keys.p)
+                want = "reply carries sequence number 0, the request 1"
+            else:
+                want = "reply carries sequence number 1, the request 0"
+            with pytest.raises(ReplyIntegrityError, match=re.escape(want)):
+                dev.eval(enc_xi)
+            with pytest.raises(OSError):  # the session is closed
+                dev.eval(enc_xi)
+
+    def test_sequence_number_wraps_at_2_32(self, service, enc_phi, keys, monkeypatch):
+        sent = []
+        pack = protocol.pack_eval_request
+
+        def recording_pack(cts, seq=0):
+            sent.append(seq)
+            return pack(cts, seq)
+
+        monkeypatch.setattr(protocol, "pack_eval_request", recording_pack)
+        with DeviceSession(service.address, timeout=2.0) as dev:
+            dev.seq = 2**32 - 1
+            for seed in (71, 72):
+                enc_xi = self._xi(keys, seed)
+                assert dev.eval(enc_xi) == enc_eval(enc_phi, enc_xi, keys.p)
+            assert dev.seq == 1
+        assert sent == [2**32 - 1, 0]
+
+    def test_set_up_reply_where_a_step_reply_is_due(self, enc_phi, keys):
+        set_up = protocol.pack_phi_response([ct for row in enc_phi for ct in row])
+        with fake_peer(lambda *_: set_up) as address, \
+                DeviceSession(address, timeout=2.0) as dev:
+            with pytest.raises(ProtocolError, match="unexpected message type 0x4") as err:
+                dev.eval(self._xi(keys, 73))
+            assert err.value.code == ERR_MALFORMED
+            with pytest.raises(OSError):
+                dev.eval(self._xi(keys, 73))
+
+    def test_set_up_request_with_a_payload_rejected(self, service):
+        sock = socket.create_connection(service.address, timeout=2.0)
+        try:
+            sock.sendall(protocol.pack_frame(protocol.MSG_PHI_REQUEST, b"\x00"))
+            msg_type, _, body = protocol.read_frame(sock)
+            assert msg_type == MSG_ERROR
+            assert protocol.parse_error(body).code == ERR_MALFORMED
+        finally:
+            sock.close()
+
+    def test_v2_device_gets_error_2(self, service, keys):
+        # a version-2 step request: no sequence number, count and ciphertexts
+        payload = struct.pack(">H", 18) + protocol.pack_ciphertexts(self._xi(keys, 74))
+        sock = socket.create_connection(service.address, timeout=2.0)
+        try:
+            sock.sendall(protocol.pack_frame(MSG_EVAL_REQUEST, payload, version=2))
+            msg_type, _, body = protocol.read_frame(sock)
+            assert msg_type == MSG_ERROR
+            err = protocol.parse_error(body)
+            assert err.code == ERR_VERSION and err.reason == "server speaks version 3, got 2"
+            assert sock.recv(1) == b""
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize("call", ["set-up", "step"])
+    def test_v2_service_gives_error_2(self, call, keys):
+        # what a version-2 service answers a version-3 frame with
+        def v2_service(k, msg_type, version, payload):
+            return protocol.pack_error(ERR_VERSION, f"server speaks version 2, got {version}")
+
+        with fake_peer(v2_service) as address, DeviceSession(address, timeout=2.0) as dev:
+            with pytest.raises(ProtocolError, match="server speaks version 2, got 3") as err:
+                if call == "set-up":
+                    dev.fetch_enc_phi()
+                else:
+                    dev.eval(self._xi(keys, 75))
+            assert err.value.code == ERR_VERSION
+
+    def test_v2_reply_refused_with_error_2(self, enc_phi, keys):
+        def v2_reply(k, msg_type, version, payload):
+            _, rest = protocol.split_sequence(payload)
+            enc_xi = protocol.parse_counted_ciphertexts(rest, 18)
+            flat = [hom_mul(a, x, keys.p) for row in enc_phi for a, x in zip(row, enc_xi)]
+            body = struct.pack(">H", 90) + protocol.pack_ciphertexts(flat)
+            return protocol.pack_frame(MSG_EVAL_RESPONSE, body, version=2)
+
+        with fake_peer(v2_reply) as address, DeviceSession(address, timeout=2.0) as dev:
+            with pytest.raises(ProtocolError, match="device speaks 3, got 2") as err:
+                dev.eval(self._xi(keys, 76))
+            assert err.value.code == ERR_VERSION
