@@ -6,7 +6,8 @@ Exit codes: 0 success, 2 usage error (argparse), 3 missing/unreadable file,
 closed connection, a protocol error, a service whose Enc(Phi) does not
 decrypt to the device's Phi, a reply with another sequence number than its
 request, a reply whose c2 is outside [1, p) or decodes outside its bound,
-a non-finite sensor value, or an xi entry outside its fixed-point bound).
+a non-finite sensor value, an xi entry outside its fixed-point bound, or a
+trace file that is empty, malformed or shorter than a metric window).
 
 Environment overrides: PAMENC_OUT_DIR prefixes relative output paths,
 PAMENC_PORT overrides the service port.
@@ -205,17 +206,25 @@ def cmd_serve(args) -> int:
 
 
 def _parse_windows(spec: str) -> list[harness.MetricWindow]:
+    """The --windows value: 'canonical' or k0:k1[,k0:k1...]; a bad part is a usage error."""
     if spec == "canonical":
         return list(harness.CANONICAL_WINDOWS)
     windows = []
     for part in spec.split(","):
         k0, _, k1 = part.partition(":")
-        windows.append(harness.MetricWindow(int(k0), int(k1)))
+        try:
+            window = harness.MetricWindow(int(k0), int(k1))
+        except ValueError:  # also a part without ':', whose k1 is ''
+            window = None
+        if window is None or not 0 <= window.k0 <= window.k1:
+            raise argparse.ArgumentTypeError(
+                f"bad window {part!r}: expected k0:k1, integers with 0 <= k0 <= k1")
+        windows.append(window)
     return windows
 
 
 def _report(traces: dict[str, list[harness.SimTrace]], args) -> int:
-    report = harness.compare_report(traces, _parse_windows(args.windows))
+    report = harness.compare_report(traces, args.windows)
     print(report.to_text())
     if args.out:
         report.to_csv(_out_path(args.out))
@@ -301,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score one trace over metric windows")
     p.add_argument("--trace", required=True)
-    p.add_argument("--windows", default="canonical", help="'canonical' or k0:k1[,k0:k1...]")
+    p.add_argument("--windows", type=_parse_windows, default="canonical",
+                   help="'canonical' or k0:k1[,k0:k1...]")
     p.add_argument("--label", default="run")
     p.add_argument("--out", help="also write the report CSV")
     p.set_defaults(func=cmd_evaluate)
@@ -309,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="score several labeled traces side by side")
     p.add_argument("--traces", nargs="+", required=True)
     p.add_argument("--labels", nargs="*", default=None)
-    p.add_argument("--windows", default="canonical")
+    p.add_argument("--windows", type=_parse_windows, default="canonical",
+                   help="'canonical' or k0:k1[,k0:k1...]")
     p.add_argument("--out")
     p.set_defaults(func=cmd_compare)
 

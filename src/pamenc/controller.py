@@ -14,27 +14,32 @@ inversion is the variant that actually realizes the commanded stiffness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pam import alpha, estimate_force, pam_lengths
 from .params import Gains, PamParams
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Integrator states: angle PI and the two force PIs."""
+class ControllerState(NamedTuple):
+    """Integrator states: angle PI and the two force PIs.
+
+    An immutable tuple in field order; every controller step builds one.
+    """
 
     x_theta: float = 0.0
     x_f1: float = 0.0
     x_f2: float = 0.0
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x_theta, self.x_f1, self.x_f2)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class ControllerInput:
-    """Measured pressures and angle plus the two references (radians, N*m/rad)."""
+class ControllerInput(NamedTuple):
+    """Measured pressures and angle plus the two references (radians, N*m/rad).
+
+    An immutable tuple in field order (P1, P2, theta, theta_ref, kp_ref), so
+    the loop builds it positionally; `_replace` gives an edited copy.
+    """
 
     P1: float
     P2: float

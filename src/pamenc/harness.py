@@ -14,10 +14,11 @@ from __future__ import annotations
 import csv
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,24 +149,50 @@ class SimTrace:
         return self.columns[name]
 
     def to_csv(self, path: str | Path) -> None:
+        """Write the trace as CSV: a header row, then one row per step, CRLF-ended.
+
+        The text is what `csv.writer` writes for these cells, none of which
+        needs quoting, joined here a block of rows at a time.
+        """
         names = list(TRACE_COLUMNS)
         cols = [self.columns[c] for c in names]
         if self.xi is not None:
             names += [f"xi_{j}" for j in range(1, 19)]
             cols += [self.xi[:, j] for j in range(18)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
+            fh.write(",".join(names) + "\r\n")
             for k in range(0, len(self), _CSV_BLOCK):
-                writer.writerows(zip(*[_fmt_column(col[k:k + _CSV_BLOCK]) for col in cols]))
+                rows = zip(*[_fmt_column(col[k:k + _CSV_BLOCK]) for col in cols])
+                fh.write("".join([",".join(row) + "\r\n" for row in rows]))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SimTrace":
+        """Read a trace CSV; every cell parses as `float()` parses it.
+
+        The rows are parsed by one `np.loadtxt` call, which gives each cell
+        the double that `float()` gives it. A file without a header, a row
+        whose cell count differs from the header's, or a cell that is not a
+        number raises ValueError.
+        """
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            names = next(reader)
-            rows = [[float(x) for x in row] for row in reader]
-        data = np.array(rows) if rows else np.zeros((0, len(names)))
+            header = fh.readline()
+            if not header.strip():
+                raise ValueError(f"trace file {path} is empty: no header row")
+            names = next(csv.reader([header]))
+            first = fh.readline()
+            while first.isspace():  # blank lines before the first row
+                first = fh.readline()
+            if first:
+                try:
+                    data = np.loadtxt(chain([first], fh), delimiter=",", comments=None,
+                                      ndmin=2)
+                except ValueError as exc:
+                    raise ValueError(f"trace file {path}: {exc}") from exc
+                if data.shape[1] != len(names):
+                    raise ValueError(f"trace file {path} has rows of {data.shape[1]} cells "
+                                     f"under a header of {len(names)}")
+            else:
+                data = np.zeros((0, len(names)))
         columns = {}
         for i, name in enumerate(names):
             if not name.startswith("xi_"):
@@ -347,9 +374,11 @@ def run_closed_loop(
     Warm-up holds 5.5 V with the controller off; the trace covers only the
     control phase (step k=0 is the first controller invocation). The plant
     advances by one `plant_step` call for the whole warm-up and one per
-    control period, `plant.substeps` substeps per period. Per-step
-    compute time covers the controller call only and is written as 0.0
-    unless `measure_time` is set, keeping default traces byte-reproducible.
+    control period, `plant.substeps` substeps per period. The run's sensor
+    noise is drawn once, before the first step, by `_sensor_noise`, the same
+    values a per-step draw would give. Per-step compute time covers the
+    controller call only and is written as 0.0 unless `measure_time` is
+    set, keeping default traces byte-reproducible.
     An encrypted controller's offline refill runs before each step's sensor
     sample, outside that time; with `measure_time` its total is the trace's
     `offline_time`. A non-finite measured angle, pressure or stiffness
@@ -357,6 +386,8 @@ def run_closed_loop(
     sees it.
     Nonces are OS-random unless `nonce_seed` is set (the trace is the same
     either way: decryption is exact); `record_xi` needs approx or encrypted.
+    Each step's trace values go into one buffer of doubles, which becomes
+    the trace's columns when the run ends.
     """
     if record_xi and mode == "original":
         raise ValueError("record_xi needs a matrix controller: mode approx or encrypted")
@@ -367,16 +398,17 @@ def run_closed_loop(
     encrypted = isinstance(controller, EncryptedController)
     offline_time = 0.0
 
-    sub_dt = ts / plant.substeps
+    substeps = plant.substeps
+    sub_dt = ts / substeps
     state = plant_step(PlantState(), WARMUP_VOLTAGE, WARMUP_VOLTAGE, plant, pam, sub_dt,
-                       int(round(warmup / ts)) * plant.substeps)
+                       int(round(warmup / ts)) * substeps)
+    theta, theta_dot, P1, P2 = state
 
-    noise = np.random.default_rng(noise_seed) if (noise_theta or noise_pressure) else None
-
-    cols = {name: np.zeros(n_steps) for name in TRACE_COLUMNS}
+    rows = array("d")  # each step's values in TRACE_COLUMNS order
     xi_log = np.zeros((n_steps, 18)) if record_xi else None
 
-    for k in range(n_steps):
+    for k, (d_theta, d_p1, d_p2) in enumerate(
+            _sensor_noise(n_steps, noise_theta, noise_pressure, noise_seed)):
         if encrypted:  # offline work: after the previous step, before this sensor sample
             t0 = time.perf_counter()
             controller.refill()
@@ -384,22 +416,15 @@ def run_closed_loop(
         t = k * ts
         th_ref_deg, kp_ref = profile.lookup(t)
 
-        theta_meas, p1_meas, p2_meas = state.theta, state.P1, state.P2
-        if noise is not None:
-            theta_meas += noise.normal(0.0, noise_theta) if noise_theta else 0.0
-            if noise_pressure:
-                p1_meas += noise.normal(0.0, noise_pressure)
-                p2_meas += noise.normal(0.0, noise_pressure)
+        theta_meas, p1_meas, p2_meas = theta + d_theta, P1 + d_p1, P2 + d_p2
         if not (math.isfinite(theta_meas) and math.isfinite(p1_meas)
                 and math.isfinite(p2_meas)):
             _refuse_sensors(k, t, theta=theta_meas, p1=p1_meas, p2=p2_meas)
-        kp_meas = measured_stiffness(
-            PlantState(theta_meas, state.theta_dot, p1_meas, p2_meas), pam)
+        kp_meas = measured_stiffness(PlantState(theta_meas, theta_dot, p1_meas, p2_meas), pam)
         if not math.isfinite(kp_meas):
             _refuse_sensors(k, t, k_p=kp_meas)
 
-        zin = ControllerInput(P1=p1_meas, P2=p2_meas, theta=theta_meas,
-                              theta_ref=math.radians(th_ref_deg), kp_ref=kp_ref)
+        zin = ControllerInput(p1_meas, p2_meas, theta_meas, math.radians(th_ref_deg), kp_ref)
         prev_state = controller.state
         t0 = time.perf_counter()
         u1, u2, (c1, c2) = controller.step(zin)
@@ -417,33 +442,50 @@ def run_closed_loop(
         flags = (FLAG_U1_CLAMPED if c1 else 0) | (FLAG_U2_CLAMPED if c2 else 0)
         if measure_time and elapsed > ts:
             flags |= FLAG_DEADLINE_OVERRUN
-        state = plant_step(state, u1, u2, plant, pam, sub_dt, plant.substeps)
-        if abs(state.theta) >= THETA_LIMIT:
+        state = plant_step(state, u1, u2, plant, pam, sub_dt, substeps)
+        theta, theta_dot, P1, P2 = state
+        if abs(theta) >= THETA_LIMIT:
             flags |= FLAG_THETA_STOP
-        if state.P1 in (PRESSURE_MIN, PRESSURE_MAX) or state.P2 in (PRESSURE_MIN, PRESSURE_MAX):
+        if P1 in (PRESSURE_MIN, PRESSURE_MAX) or P2 in (PRESSURE_MIN, PRESSURE_MAX):
             flags |= FLAG_PRESSURE_LIMIT
 
         theta_deg = math.degrees(theta_meas)
-        cols["time"][k] = t
-        cols["theta_ref_deg"][k] = th_ref_deg
-        cols["kp_ref"][k] = kp_ref
-        cols["theta_deg"][k] = theta_deg
-        cols["k_p"][k] = kp_meas
-        cols["u1"][k] = u1
-        cols["u2"][k] = u2
-        cols["p1"][k] = p1_meas
-        cols["p2"][k] = p2_meas
-        cols["e_theta_deg"][k] = th_ref_deg - theta_deg
-        cols["e_kp"][k] = kp_ref - kp_meas
-        cols["compute_time"][k] = elapsed if measure_time else 0.0
-        cols["clamp_flags"][k] = flags
+        rows.extend((t, th_ref_deg, kp_ref, theta_deg, kp_meas, u1, u2, p1_meas, p2_meas,
+                     th_ref_deg - theta_deg, kp_ref - kp_meas,
+                     elapsed if measure_time else 0.0, flags))
         if xi_log is not None:
             xi_log[k] = controller.last_xi
         if on_step is not None:
             on_step(k, controller)
 
-    return SimTrace(columns=cols, xi=xi_log,
+    data = np.frombuffer(rows).reshape(n_steps, len(TRACE_COLUMNS))  # no copy
+    return SimTrace(columns=dict(zip(TRACE_COLUMNS, data.T)), xi=xi_log,
                     offline_time=offline_time if measure_time else 0.0)
+
+
+def _sensor_noise(n_steps: int, noise_theta: float, noise_pressure: float,
+                  noise_seed: int) -> Iterator[tuple[float, float, float]]:
+    """Each step's (theta, p1, p2) sensor-noise offsets, drawn before the run.
+
+    The draws are the ones a `Generator.normal(0.0, scale)` call per noisy
+    sensor and step would take, in that order: theta when `noise_theta` is
+    set, then p1 and p2 when `noise_pressure` is. Each is formed as `normal`
+    forms it, `0.0 + scale * z`, so it is the same double. A sensor without
+    noise gets 0.0, which changes no reading: none is -0.0, as the plant
+    starts at +0.0 and clamps its pressures to [PRESSURE_MIN, PRESSURE_MAX].
+    The offsets are Python floats, three lists zipped: the controllers run
+    faster on them than on numpy scalars.
+    """
+    scales = (noise_theta, noise_pressure, noise_pressure)
+    for name, scale in (("noise_theta", noise_theta), ("noise_pressure", noise_pressure)):
+        if scale < 0.0:
+            raise ValueError(f"{name} = {scale!r} is negative")
+    offsets = np.zeros((n_steps, 3))
+    noisy = [j for j, scale in enumerate(scales) if scale]
+    if noisy:
+        z = np.random.default_rng(noise_seed).standard_normal((n_steps, len(noisy)))
+        offsets[:, noisy] = 0.0 + np.array(scales)[noisy] * z
+    return zip(*offsets.T.tolist())
 
 
 def _refuse_sensors(k: int, t: float, **readings: float) -> None:
@@ -520,7 +562,13 @@ _SIGNALS = {"theta": ("theta_deg", "theta_ref_deg"), "k_p": ("k_p", "kp_ref")}
 
 
 def window_tracking_stats(trace: SimTrace, window: MetricWindow) -> dict[str, dict[str, float]]:
-    """Per-signal gamma, reference, tracked mean, and error percentages for one window."""
+    """Per-signal gamma, reference, tracked mean, and error percentages for one window.
+
+    A window that does not lie inside the trace raises ValueError naming it.
+    """
+    if not 0 <= window.k0 <= window.k1 < len(trace):
+        raise ValueError(f"window {window.k0}:{window.k1} is outside the trace's "
+                         f"{len(trace)} steps")
     out = {}
     for signal, (col, ref_col) in _SIGNALS.items():
         z = trace[col][window.k0:window.k1 + 1]

@@ -9,7 +9,7 @@ lag, integrated by semi-implicit Euler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .params import (
     PRESSURE_MAX,
@@ -20,9 +20,12 @@ from .params import (
 )
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Joint angle/velocity and absolute inner pressures."""
+class PlantState(NamedTuple):
+    """Joint angle/velocity and absolute inner pressures.
+
+    An immutable tuple in field order, so `theta, theta_dot, P1, P2 = state`
+    unpacks it; the loop builds two of these per control period.
+    """
 
     theta: float = 0.0
     theta_dot: float = 0.0
@@ -90,21 +93,40 @@ def plant_step(state: PlantState, u1: float, u2: float, sp: SurrogatePlantParams
     are mapped once, since (u1, u2) holds for all `n` substeps; each substep
     is the same arithmetic as a single call, so the result equals `n` chained
     calls bit for bit.
+
+    The substep is `pam_lengths`, `contraction_force` and `joint_torque`
+    written out on locals hoisted out of the loop, term for term in the same
+    order, so it rounds exactly as those helpers do; a call costs a few
+    hundred nanoseconds, and a control period runs tens of them.
     """
     a = dt / sp.valve_tau
     target1, target2 = sp.valve_map(u1), sp.valve_map(u2)
     c_damp, load_torque, J = sp.c_damp, sp.load_torque, sp.J
-    theta, theta_dot, P1, P2 = state.theta, state.theta_dot, state.P1, state.P2
+    r, L0 = pp.r, pp.L0
+    (a1_1, a2_1, b1_1, b2_1), (a1_2, a2_2, b1_2, b2_2) = (
+        (c.a1, c.a2, c.b1, c.b2) for c in pp.force_coeffs)
+    sin, cos = math.sin, math.cos
+    theta, theta_dot, P1, P2 = state
     for _ in range(n):
         P1 = P1 + a * (target1 - P1)
         P2 = P2 + a * (target2 - P2)
-        P1 = min(max(P1, PRESSURE_MIN), PRESSURE_MAX)
-        P2 = min(max(P2, PRESSURE_MIN), PRESSURE_MAX)
+        # min(max(P, PRESSURE_MIN), PRESSURE_MAX) in two compares; a NaN passes through both
+        if P1 < PRESSURE_MIN:
+            P1 = PRESSURE_MIN
+        elif P1 > PRESSURE_MAX:
+            P1 = PRESSURE_MAX
+        if P2 < PRESSURE_MIN:
+            P2 = PRESSURE_MIN
+        elif P2 > PRESSURE_MAX:
+            P2 = PRESSURE_MAX
 
-        l1, l2 = pam_lengths(theta, pp)
-        F1 = contraction_force(l1, P1, 0, pp)
-        F2 = contraction_force(l2, P2, 1, pp)
-        tau = joint_torque(theta, F1, F2, pp)
+        d = r * sin(theta)
+        l1, l2 = L0 - d, L0 + d
+        if l1 <= 0.0 or l2 <= 0.0:
+            raise ValueError(f"nonpositive muscle length at theta={theta!r}")
+        F1 = (a1_1 * l1 + a2_1) * P1 + (b1_1 * l1 + b2_1)
+        F2 = (a1_2 * l2 + a2_2) * P2 + (b1_2 * l2 + b2_2)
+        tau = r * cos(theta) * (F1 - F2)
 
         theta_ddot = (tau - c_damp * theta_dot - load_torque) / J
         theta_dot = theta_dot + dt * theta_ddot
@@ -114,5 +136,4 @@ def plant_step(state: PlantState, u1: float, u2: float, sp: SurrogatePlantParams
         elif theta <= -THETA_LIMIT:
             theta, theta_dot = -THETA_LIMIT, 0.0
 
-    return PlantState(theta=theta, theta_dot=theta_dot, P1=P1, P2=P2)
-
+    return PlantState(theta, theta_dot, P1, P2)

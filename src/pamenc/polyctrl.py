@@ -141,8 +141,9 @@ def poly_step(phi: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def split_psi(psi: np.ndarray) -> tuple[ControllerState, float, float]:
-    """Unpack [x_th+, x_F1+, x_F2+, u1, u2]."""
-    return ControllerState(psi[0], psi[1], psi[2]), float(psi[3]), float(psi[4])
+    """Unpack [x_th+, x_F1+, x_F2+, u1, u2] as Python floats."""
+    x_theta, x_f1, x_f2, u1, u2 = psi.tolist()
+    return ControllerState(x_theta, x_f1, x_f2), u1, u2
 
 
 def approx_step(state: ControllerState, zin: ControllerInput, coeffs: PolyCoeffs,

@@ -181,6 +181,37 @@ class TestEvaluateCompare:
         rc = main(["compare", "--traces", str(trace_file), "--labels", "a", "b"])
         assert rc == EXIT_BAD_COMBINATION
 
+    def test_empty_trace_file_exits_runtime(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main(["evaluate", "--trace", str(empty)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == f"pamenc: trace file {empty} is empty: no header row\n"
+
+    @pytest.mark.parametrize("rows", [0, 4], ids=["header-only", "4-rows"])
+    def test_trace_shorter_than_a_window_exits_runtime(self, trace_file, rows, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("".join(trace_file.read_text().splitlines(keepends=True)[:rows + 1]))
+        assert main(["evaluate", "--trace", str(short)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == f"pamenc: window 500:749 is outside the trace's {rows} steps\n"
+        assert main(["compare", "--traces", str(short), str(short),
+                     "--windows", "0:3,50:99"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.endswith(
+            f"window {'0:3' if rows == 0 else '50:99'} is outside the trace's {rows} steps\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    @pytest.mark.parametrize("spec, bad", [("5", "5"), ("a:b", "a:b"), ("9:3", "9:3"),
+                                           ("0:3,7", "7"), ("0:3,", "")])
+    def test_bad_windows_are_usage_errors(self, trace_file, command, spec, bad, capsys):
+        flag = "--trace" if command == "evaluate" else "--traces"
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(trace_file), "--windows", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"argument --windows: bad window {bad!r}: "
+                            "expected k0:k1, integers with 0 <= k0 <= k1")
+
 
 def _simulate_connected(workspace, profile, tmp_path, address):
     host, port = address

@@ -1,7 +1,7 @@
 """Profiles, metric windows, scoring, traces, and closed-loop behavior."""
 
 import builtins
-import dataclasses
+import csv
 import math
 import re
 
@@ -271,12 +271,14 @@ class TestClosedLoop:
 class TestCallRouting:
     """Each mode reaches the layers through harness's module globals, once per step."""
 
-    NAMES = ("build_xi", "poly_step", "enc_vector", "enc_eval", "dec_plus", "original_step")
+    NAMES = ("measured_stiffness", "build_xi", "poly_step", "enc_vector", "enc_eval",
+             "dec_plus", "original_step")
 
     @pytest.mark.parametrize("mode, called", [
-        ("original", {"original_step"}),
-        ("approx", {"build_xi", "poly_step"}),
-        ("encrypted", {"build_xi", "enc_vector", "enc_eval", "dec_plus", "poly_step"}),
+        ("original", {"measured_stiffness", "original_step"}),
+        ("approx", {"measured_stiffness", "build_xi", "poly_step"}),
+        ("encrypted", {"measured_stiffness", "build_xi", "enc_vector", "enc_eval", "dec_plus",
+                       "poly_step"}),
     ], ids=["original", "approx", "encrypted"])
     def test_one_call_per_step(self, mode, called, phi, keys, monkeypatch):
         counts = dict.fromkeys(self.NAMES, 0)
@@ -341,6 +343,43 @@ class TestCallRouting:
         trace = run_closed_loop("original", ReferenceProfile(((0.0, 0.2, 5.0, 6.0),)), warmup=0.3)
         assert len(trace) == 10
         assert substeps == [15 * DEFAULT_PLANT.substeps] + [DEFAULT_PLANT.substeps] * 10
+
+
+class TestSensorNoise:
+    """The noise drawn before the run is the noise a draw per sensor and step gave."""
+
+    @pytest.mark.parametrize("noise_theta, noise_pressure", [
+        (math.radians(0.5), 0.0), (0.0, 3.0), (math.radians(0.5), 3.0)],
+        ids=["theta-only", "pressure-only", "both"])
+    def test_columns_match_per_step_normal_draws(self, noise_theta, noise_pressure,
+                                                 monkeypatch):
+        plant_states = []  # the state each step measures: the previous plant_step's result
+
+        def recording(*args):
+            plant_states.append(pam.plant_step(*args))
+            return plant_states[-1]
+
+        monkeypatch.setattr(harness, "plant_step", recording)
+        trace = run_closed_loop("original", ReferenceProfile(((0.0, 2.0, 5.0, 6.0),)),
+                                warmup=0.3, noise_theta=noise_theta,
+                                noise_pressure=noise_pressure, noise_seed=11)
+        rng = np.random.default_rng(11)
+        want = {"theta_deg": [], "p1": [], "p2": []}
+        for s in plant_states[:len(trace)]:
+            theta = s.theta + (rng.normal(0.0, noise_theta) if noise_theta else 0.0)
+            p1, p2 = s.P1, s.P2
+            if noise_pressure:
+                p1 += rng.normal(0.0, noise_pressure)
+                p2 += rng.normal(0.0, noise_pressure)
+            want["theta_deg"].append(math.degrees(theta))
+            want["p1"].append(p1)
+            want["p2"].append(p2)
+        for name, values in want.items():
+            assert [x.hex() for x in trace[name].tolist()] == [x.hex() for x in values], name
+
+    def test_negative_scale_is_named(self, short_profile):
+        with pytest.raises(ValueError, match="noise_pressure = -0.1 is negative"):
+            run_closed_loop("original", short_profile, warmup=0.2, noise_pressure=-0.1)
 
 
 ZIN = ControllerInput(P1=450.0, P2=450.0, theta=0.0, theta_ref=math.radians(5.0), kp_ref=6.0)
@@ -592,7 +631,7 @@ class TestOnlineOffline:
         # a NaN passed the old abs(v) > bound test and died in encode's bare ValueError
         ctl = EncryptedController(phi, keys, nonce_seed=6)
         with pytest.raises(OverflowError, match=r"xi_12 = \S+ is outside its declared bound"):
-            ctl.step(dataclasses.replace(ZIN, P1=p1))
+            ctl.step(ZIN._replace(P1=p1))
 
     def test_own_enc_phi_is_enc_matrix_of_its_nonce_stream(self, phi, keys):
         # drawn as pads off the fixed-base tables: the ciphertexts of per-entry encryption
@@ -628,6 +667,13 @@ def _reference_csv(trace: SimTrace) -> str:
     return "".join(line + "\r\n" for line in lines)
 
 
+def _reference_read(path) -> tuple[list[str], np.ndarray]:
+    """The trace CSV read a row at a time, with float() on each cell."""
+    with open(path, newline="") as fh:
+        names, *rows = csv.reader(fh)
+    return names, np.array([[float(x) for x in row] for row in rows]).reshape(-1, len(names))
+
+
 class TestTraceCsv:
     """SimTrace.to_csv formats a column at a time; the text is the row-at-a-time writer's."""
 
@@ -650,6 +696,47 @@ class TestTraceCsv:
         trace = self._synthetic(n, xi)
         trace.to_csv(tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == _reference_csv(trace).encode()
+
+    @pytest.mark.parametrize("n, xi", [(600, True), (600, False), (1, True), (1, False),
+                                       (0, True), (0, False)])
+    def test_reader_matches_float_per_cell(self, n, xi, tmp_path):
+        trace = self._synthetic(n, xi)
+        for j, name in enumerate(("u1", "p2", "k_p")):
+            trace.columns[name][j::7] = [np.nan, np.inf, -np.inf][j]
+        if xi and n:
+            trace.xi[::5, 4] = np.nan
+        trace.to_csv(tmp_path / "t.csv")
+        names, cells = _reference_read(tmp_path / "t.csv")
+        back = SimTrace.from_csv(tmp_path / "t.csv")
+        assert len(back) == n
+        for i, name in enumerate(names):
+            got = back.xi[:, int(name[3:]) - 1] if name.startswith("xi_") else back[name]
+            assert got.tobytes() == cells[:, i].tobytes(), name
+        assert (back.xi is None) == (not xi)
+
+    @pytest.mark.parametrize("edit", ["ragged", "non-numeric", "long"])
+    def test_reader_refuses_a_malformed_row(self, edit, tmp_path):
+        self._synthetic(20, False).to_csv(tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        lines[5] = ",".join({"ragged": cells[:-1], "non-numeric": cells[:3] + ["x"] + cells[4:],
+                             "long": cells + ["1.0"]}[edit])
+        (tmp_path / "t.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^trace file {re.escape(str(tmp_path))}"):
+            SimTrace.from_csv(tmp_path / "t.csv")
+
+    def test_reader_reads_blank_lines_as_no_rows(self, tmp_path):
+        (tmp_path / "t.csv").write_text(",".join(harness.TRACE_COLUMNS) + "\r\n\r\n\n")
+        assert len(SimTrace.from_csv(tmp_path / "t.csv")) == 0
+        self._synthetic(3, False).to_csv(tmp_path / "t.csv")
+        header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+        (tmp_path / "t.csv").write_text("\n\n".join([header, *rows]) + "\n\n")
+        assert len(SimTrace.from_csv(tmp_path / "t.csv")) == 3
+
+    def test_reader_names_an_empty_file(self, tmp_path):
+        (tmp_path / "t.csv").write_text("")
+        with pytest.raises(ValueError, match="is empty: no header row"):
+            SimTrace.from_csv(tmp_path / "t.csv")
 
     def test_closed_loop_trace_matches_row_at_a_time_writer(self, short_profile, phi, tmp_path):
         trace = run_closed_loop("approx", short_profile, phi=phi, warmup=2.0, record_xi=True,

@@ -1,7 +1,6 @@
 """Geometry, force/stiffness maps, and the surrogate plant step."""
 
 import math
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -234,7 +233,7 @@ class TestPlantStep:
 
 
 def _bits(state):
-    return tuple(float.hex(x) for x in astuple(state))
+    return tuple(float.hex(x) for x in tuple(state))
 
 
 class TestPlantSubsteps:
@@ -268,6 +267,31 @@ class TestPlantSubsteps:
             chain.append(plant_step(chain[-1], u1, u2, sp, DEFAULT_PAM, 0.002))
         assert any(reached(s) for s in chain[1:])
         assert _bits(plant_step(start, u1, u2, sp, DEFAULT_PAM, 0.002, n)) == _bits(chain[-1])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_substep_is_the_helpers_bit_for_bit(self, case):
+        # the substep written out on locals rounds as pam_lengths, contraction_force and
+        # joint_torque do; two muscles with different maps catch a swapped coefficient
+        start, u1, u2, sp, n, _ = self.CASES[case]
+        fc1 = DEFAULT_PAM.force_coeffs[0]
+        fc2 = MuscleCoeffs(a1=fc1.a1 * 1.1, a2=fc1.a2 * 0.9, b1=fc1.b1 * 1.05, b2=fc1.b2 * 0.95)
+        pp = PamParams(r=DEFAULT_PAM.r, L0=DEFAULT_PAM.L0, force_coeffs=(fc1, fc2),
+                       est_coeffs=DEFAULT_PAM.est_coeffs)
+        a, dt = 0.002 / sp.valve_tau, 0.002
+        target1, target2 = sp.valve_map(u1), sp.valve_map(u2)
+        theta, theta_dot, P1, P2 = start
+        for _ in range(n):
+            P1 = min(max(P1 + a * (target1 - P1), PRESSURE_MIN), PRESSURE_MAX)
+            P2 = min(max(P2 + a * (target2 - P2), PRESSURE_MIN), PRESSURE_MAX)
+            l1, l2 = pam_lengths(theta, pp)
+            tau = joint_torque(theta, contraction_force(l1, P1, 0, pp),
+                               contraction_force(l2, P2, 1, pp), pp)
+            theta_dot = theta_dot + dt * ((tau - sp.c_damp * theta_dot - sp.load_torque) / sp.J)
+            theta = theta + dt * theta_dot
+            if abs(theta) >= THETA_LIMIT:
+                theta, theta_dot = math.copysign(THETA_LIMIT, theta), 0.0
+        want = PlantState(theta, theta_dot, P1, P2)
+        assert _bits(plant_step(start, u1, u2, sp, pp, dt, n)) == _bits(want)
 
     @pytest.mark.parametrize("theta", [0.6, -0.6], ids=["l1", "l2"])
     @pytest.mark.parametrize("n", [1, 10])
