@@ -178,24 +178,28 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _enc_phi(path: str, keys: crypto.ElGamalKeys, seed: int | None):
+    """Enc(Phi) of the Phi file at `path`; the plaintext goes out of scope on return."""
+    phi, encoding = polyctrl.load_phi(_in_path(path)), crypto.EncodingParams()
+    crypto.check_overflow_guard(encoding, phi, keys.p)
+    return crypto.enc_matrix(phi, encoding, keys, crypto.Drbg(seed))
+
+
 def cmd_serve(args) -> int:
-    phi = polyctrl.load_phi(_in_path(args.phi))
     keys = crypto.load_keys(_in_path(args.pubkey))
     if keys.s is not None:
         raise BadCombinationError("key file holds the secret exponent; serve takes the .pub file")
-    encoding = crypto.EncodingParams()
-    crypto.check_overflow_guard(encoding, phi, keys.p)
-    rng = crypto.Drbg(args.seed)
-    enc_phi = crypto.enc_matrix(phi, encoding, keys, rng)
     port = int(os.environ.get("PAMENC_PORT", args.port))
-    service = ControllerService(enc_phi, keys.p, host=args.bind, port=port)
+    service = ControllerService(_enc_phi(args.phi, keys, args.seed), keys.p,
+                                host=args.bind, port=port)
     service.start()
     try:
         # Both signals end the wait, so stop() runs; SIGINT also when it was ignored at start.
         for sig in (signal.SIGINT, signal.SIGTERM):
             signal.signal(sig, signal.default_int_handler)
-        print(f"controller service on {service.address[0]}:{service.address[1]} "
-              "(holds Enc(Phi) and the public key only; SIGINT or SIGTERM stops it)", flush=True)
+        print(f"controller service on {service.address[0]}:{service.address[1]} (holds only "
+              f"Enc(Phi), encrypted at start-up from {args.phi}, and the public key; "
+              "SIGINT or SIGTERM stops it)", flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:

@@ -19,9 +19,10 @@ c2 (c1(Phi_ij)^-s h^-k). The mask c1(Phi_ij)^-s is fixed for the session:
 of Phi, and checks that each decrypts its entry. So the decryption factor
 of every product is known before its reply arrives, and no one needs a
 product's c1: `enc_eval` computes only the c2 halves, c2(Phi_ij) c2(xi_j),
-`PhiMasks.prepare` computes the factors between steps, and online Dec+
-decrypts a product in one multiplication. `hom_mul` and `power_factors`
-keep the full products and decryption by powers as the reference.
+`PhiMasks.prepare` computes the factors between steps, a row of (j,
+c1_ij^-s) pairs per row of Phi, and online Dec+ decrypts a product in one
+multiplication. `hom_mul` and `power_factors` keep the full products and
+decryption by powers as the reference.
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -444,13 +445,6 @@ class ReplyIntegrityError(RuntimeError):
     c1 or c2 outside [1, p), or a step reply with another sequence number."""
 
 
-class Prepared(NamedTuple):
-    """What Dec+ needs of one step besides its reply: for each row, a (j, c1_ij^-s)
-    pair for each product Dec+ decrypts, so a product decrypts as c2 times its factor."""
-
-    factors: list[list[tuple[int, int]]]
-
-
 def _check_in_group(values, i: int, name: str, p: int) -> None:
     """Raise ReplyIntegrityError naming the first of row i's values outside [1, p)."""
     if min(values) < 1 or max(values) >= p:
@@ -460,7 +454,7 @@ def _check_in_group(values, i: int, name: str, p: int) -> None:
 
 
 def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
-                  zero_mask=None) -> Prepared:
+                  zero_mask=None) -> list[list[tuple[int, int]]]:
     """Decryption by powers: a factor c1^(p-1-s) = c1^-s, one power, per product decrypted.
 
     This is the reference the prepared Dec+ is tested against. It takes the
@@ -476,7 +470,7 @@ def power_factors(products: list[list[Ciphertext]], keys: ElGamalKeys,
         _check_in_group([ct.c1 for ct in row], i, "c1", p)
         factors.append([(j, pow(ct.c1, e, p)) for j, ct in enumerate(row)
                         if zero_mask is None or not zero_mask[i][j]])
-    return Prepared(factors)
+    return factors
 
 
 class PhiMasks:
@@ -490,8 +484,8 @@ class PhiMasks:
     integrator state rows. Over a network `enc_phi` is the service's: a c1
     or c2 outside [1, p), or a mask that does not decrypt its entry to
     encode(Phi_ij), raises ReplyIntegrityError before any step. `prepare`
-    turns the masks and a step's pads into that step's `Prepared` before its
-    reply arrives: one factor mask_ij h^-k per mask, 71 multiplications.
+    turns the masks and a step's pads into that step's factor rows before
+    its reply arrives: a (j, mask_ij h^-k) pair per mask, 71 multiplications.
     """
 
     def __init__(self, enc_phi: list[list[Ciphertext]], phi, params: EncodingParams,
@@ -509,20 +503,20 @@ class PhiMasks:
                         f"Enc(Phi)[{i+1}][{j+1}] does not decrypt to Phi[{i+1}][{j+1}] = "
                         f"{float(phi_row[j])!r}; the service holds another Phi")
 
-    def prepare(self, pads: list[Pad], p: int) -> Prepared:
+    def prepare(self, pads: list[Pad], p: int) -> list[list[tuple[int, int]]]:
         """The step's decryption factors."""
         h_inv_k = [pad.h_inv_k for pad in pads]
-        return Prepared([[(j, m * h_inv_k[j] % p) for j, m in row] for row in self.mask])
+        return [[(j, m * h_inv_k[j] % p) for j, m in row] for row in self.mask]
 
 
 def dec_plus(products: list[list[int]], params: EncodingParams, keys: ElGamalKeys,
-             bounds=None, *, prepared: Prepared) -> list[float]:
+             bounds=None, *, prepared: list[list[tuple[int, int]]]) -> list[float]:
     """Decrypt and decode the products' c2 halves, then sum each row in plaintext.
 
-    `products` holds the c2 of each product, as `enc_eval` returns them.
-    Dec+ decrypts the products `prepared` has factors for, by one
-    multiplication each: `PhiMasks.prepare` makes them ahead of the reply,
-    `power_factors` by powers from the full products. Summation is
+    `products` holds the c2 of each product, as `enc_eval` returns them;
+    `prepared` a row of (j, c1_ij^-s) pairs per row, made ahead of the reply
+    by `PhiMasks.prepare` or by powers by `power_factors`. Dec+ decrypts each
+    product it has a factor for by one multiplication. Summation is
     left-to-right by column index for determinism. A c2 outside [1, p)
     raises ReplyIntegrityError: no honest reply holds one. When the
     per-entry `bounds` from the overflow guard are supplied, any decoded
@@ -536,7 +530,7 @@ def dec_plus(products: list[list[int]], params: EncodingParams, keys: ElGamalKey
         _check_in_group(c2s, i, "c2", p)
     combined = params.delta_xi * params.delta_phi
     psi = []
-    for i, (c2s, row_factors) in enumerate(zip(products, prepared.factors, strict=True)):
+    for i, (c2s, row_factors) in enumerate(zip(products, prepared, strict=True)):
         total = 0.0
         for j, factor in row_factors:
             val = decode(c2s[j] * factor % p, combined, p)

@@ -4,9 +4,9 @@ A run is: warm-up at the bias voltage, then one controller step per sampling
 period against the surrogate plant (several inner integration substeps per
 period). There are two controllers: the rational controller, and the
 matrix controller psi = Phi xi. The encrypted controller is the matrix
-controller with only that product evaluated under ElGamal (in-process or
-through the TCP service). The trace records degree-valued angles for
-plotting; everything inside the loop is radians.
+controller with only that product evaluated under ElGamal, by an evaluator
+in-process or behind the TCP service. The trace records degree-valued
+angles for plotting; everything inside the loop is radians.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import numpy as np
 
 from .controller import ControllerInput, ControllerState, clamp_u, original_step
 from .crypto import (
+    Ciphertext,
     Drbg,
     ElGamalKeys,
     EncodingParams,
     FixedBase,
     Pad,
     PhiMasks,
-    Prepared,
     check_finite,
     check_overflow_guard,
     dec_plus,
@@ -261,30 +261,35 @@ class MatrixController:
         return u1c, u2c, (f1, f2)
 
 
+class LocalEvaluator:
+    """`DeviceSession`'s two calls in-process, on Enc(Phi) and no key; `eval` runs `enc_eval`."""
+
+    def __init__(self, enc_phi: list[list[Ciphertext]], p: int):
+        self.enc_phi, self.p = enc_phi, p
+
+    def fetch_enc_phi(self) -> list[list[Ciphertext]]:
+        return self.enc_phi
+
+    def eval(self, enc_xi: list[Ciphertext]) -> list[list[int]]:
+        return enc_eval(self.enc_phi, enc_xi, self.p)
+
+
 class EncryptedController(MatrixController):
     """The matrix controller with psi = Phi xi evaluated under encryption.
 
-    The device side holds the keys. Each step it checks xi against its
-    fixed-point bounds, encodes and encrypts it, has the products computed
-    in-process or by a ControllerService through `session`, and recovers psi
-    with Dec+. The fixed-point scale is `EncodingParams()`, the same one the
-    service's Enc(Phi) is built with. `last_plain_psi` carries the plaintext
-    Phi xi value evaluated on the same xi for paired comparisons.
-
-    No modular power runs in a step. `__init__` obtains Enc(Phi) once: its
-    own, encrypted with the fixed-base tables from 90 pads drawn from the
-    nonce stream before any step's pad (the same ciphertexts as without
-    the tables, and no power), or over a session the service's, fetched
-    with one set-up request. It computes the session masks from it with
-    `crypto.PhiMasks`, which refuses a service holding another Phi.
-    `refill`, between steps, draws the next step's 18 nonce pads from the
-    fixed-base tables of g and h (`crypto.FixedBase`, one modular inverse)
-    and prepares its Dec+: one decryption factor per nonzero Phi entry. A
-    step that finds no refill makes its own; no pad serves two steps. The
-    products come back as their c2 halves only. A c2 outside [1, p) raises
-    `crypto.ReplyIntegrityError`, as does, over a session, a reply with
-    another sequence number; a stale or altered c2 almost surely decodes
-    outside its bound, `crypto.DecodeOverflowError`.
+    The device side holds the keys. The products come from `session`, an
+    evaluator holding only Enc(Phi): a DeviceSession to a ControllerService
+    or, by default, a `LocalEvaluator` on an Enc(Phi) drawn from the
+    controller's nonce stream before any step's pad. Enc(Phi) is fetched
+    once, into `crypto.PhiMasks`, which refuses an evaluator holding another
+    Phi. A step checks xi against its fixed-point bounds, encrypts it, sends
+    it to `session.eval` and recovers psi with Dec+; `last_plain_psi` is the
+    plaintext Phi xi on the same xi. No modular power runs in a step:
+    between steps `refill` draws its pads from the fixed-base tables of g
+    and h and prepares its Dec+, and no pad serves two steps. A c2 outside
+    [1, p), or a DeviceSession reply with another sequence number, raises
+    `crypto.ReplyIntegrityError`; a stale or altered c2 almost surely
+    decodes outside its bound, `crypto.DecodeOverflowError`.
     """
 
     def __init__(self, phi: np.ndarray, keys: ElGamalKeys,
@@ -298,13 +303,14 @@ class EncryptedController(MatrixController):
         # lists, not arrays: Dec+ reads them one entry at a time
         self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p).tolist()
         self.rng = Drbg(nonce_seed)
-        self.session = session
         self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
-        self.enc_phi = (enc_matrix(self.phi, self.encoding, keys, self.rng, self.tables)
-                        if session is None else session.fetch_enc_phi())
-        self.masks = PhiMasks(self.enc_phi, self.phi.tolist(), self.encoding, keys)
+        if session is None:  # the evaluator in-process, on an Enc(Phi) of the controller's own
+            session = LocalEvaluator(enc_matrix(self.phi, self.encoding, keys, self.rng,
+                                                self.tables), keys.p)
+        self.session = session
+        self.masks = PhiMasks(session.fetch_enc_phi(), self.phi.tolist(), self.encoding, keys)
         # the next step's pads and prepared Dec+, until it takes them
-        self._ready: tuple[list[Pad], Prepared] | None = None
+        self._ready: tuple[list[Pad], list[list[tuple[int, int]]]] | None = None
         self.last_plain_psi: np.ndarray | None = None
 
     def refill(self) -> None:
@@ -323,12 +329,8 @@ class EncryptedController(MatrixController):
             self.refill()
         (pads, prepared), self._ready = self._ready, None  # no pad serves two steps
         enc_xi = enc_vector(xs, self.encoding.delta_xi, self.keys, pads=pads)
-        if self.session is not None:
-            products = self.session.eval(enc_xi)
-        else:
-            products = enc_eval(self.enc_phi, enc_xi, self.keys.p)
-        psi = np.array(dec_plus(products, self.encoding, self.keys, self.bounds,
-                                prepared=prepared))
+        psi = np.array(dec_plus(self.session.eval(enc_xi), self.encoding, self.keys,
+                                self.bounds, prepared=prepared))
         self.last_plain_psi = poly_step(self.phi, xi)
         return psi
 

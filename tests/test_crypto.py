@@ -584,11 +584,12 @@ class TestOnlineDecPlus:
         nonzero = int(np.count_nonzero(phi))
         assert sum(len(row) for row in session["masks"].mask) == nonzero == 71
         prepared = session["masks"].prepare(pads, keys64.p)
-        assert sum(len(row) for row in prepared.factors) == nonzero
-        # one factor per nonzero entry and nothing of c1: each factor is its product's c1^-s
-        assert prepared._fields == ("factors",)
+        assert sum(len(row) for row in prepared) == nonzero
+        # one (j, factor) pair per nonzero entry and nothing of c1: each factor is its
+        # product's c1^-s
+        assert all(len(pair) == 2 for row in prepared for pair in row)
         e = keys64.p - 1 - keys64.s
-        for i, row in enumerate(prepared.factors):
+        for i, row in enumerate(prepared):
             for j, factor in row:
                 assert factor == pow(first[i][j].c1, e, keys64.p)
 

@@ -1,6 +1,7 @@
 """Profiles, metric windows, scoring, traces, and closed-loop behavior."""
 
 import builtins
+import contextlib
 import csv
 import math
 import re
@@ -27,7 +28,6 @@ from pamenc import (
     SimTrace,
     build_phi,
     compare_report,
-    enc_eval,
     enc_matrix,
     fit_controller_coeffs,
     keygen,
@@ -36,7 +36,7 @@ from pamenc import (
     window_tracking_stats,
 )
 from pamenc.crypto import DecodeOverflowError, ReplyIntegrityError, find_session_key
-from pamenc.harness import EncryptedController, load_profile
+from pamenc.harness import EncryptedController, LocalEvaluator, load_profile
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +331,35 @@ class TestCallRouting:
         assert len(trace) == 10
         assert counts == {name: 0 if name == "enc_eval" else 10 for name in counts}
 
+    @pytest.mark.parametrize("networked", [False, True], ids=["in-process", "loopback"])
+    def test_one_evaluator_call_per_step(self, networked, phi, keys, monkeypatch):
+        # the same evaluator calls either way: Enc(Phi) fetched once at construction,
+        # then one eval per step; in-process that eval runs harness's enc_eval
+        log = []
+
+        def logging(name, fn):
+            def wrapper(*args, **kwargs):
+                log.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        evaluator = DeviceSession if networked else LocalEvaluator
+        for name in ("fetch_enc_phi", "eval"):
+            monkeypatch.setattr(evaluator, name, logging(name, getattr(evaluator, name)))
+        monkeypatch.setattr(harness, "enc_eval", logging("enc_eval", harness.enc_eval))
+        profile = ReferenceProfile(((0.0, 0.2, 5.0, 6.0),))
+        kw = dict(phi=phi, keys=keys, warmup=0.2, on_step=lambda k, c: log.append("step"))
+        if networked:
+            enc_phi = enc_matrix(phi, EncodingParams(), keys, Drbg(40))
+            with ControllerService(enc_phi, keys.p) as svc, \
+                    DeviceSession(svc.address, timeout=2.0) as dev:
+                trace = run_closed_loop("encrypted", profile, session=dev, **kw)
+        else:
+            trace = run_closed_loop("encrypted", profile, **kw)
+        assert len(trace) == 10
+        step = ["eval", "step"] if networked else ["eval", "enc_eval", "step"]
+        assert log == ["fetch_enc_phi"] + step * 10
+
     def test_one_plant_call_per_period(self, monkeypatch):
         # one call integrates the warm-up, then one call each control period
         substeps = []
@@ -385,21 +414,21 @@ class TestSensorNoise:
 ZIN = ControllerInput(P1=450.0, P2=450.0, theta=0.0, theta_ref=math.radians(5.0), kp_ref=6.0)
 
 
-class FakeSession:
-    """Stands in for a DeviceSession: hands out Enc(Phi), after `set_up` may edit a copy
-    of it, and answers step k with the products' c2 halves, after `tamper(k, c2s, self)`."""
+class FakeSession(LocalEvaluator):
+    """The in-process evaluator with two hooks: `set_up` may edit a copy of the Enc(Phi)
+    it hands out, and `tamper(k, c2s, self)` may edit its reply to step k."""
 
     def __init__(self, enc_phi, p, tamper, set_up=lambda enc_phi: enc_phi):
-        self.enc_phi, self.p, self.tamper, self.set_up = enc_phi, p, tamper, set_up
+        super().__init__(enc_phi, p)
+        self.tamper, self.set_up = tamper, set_up
         self.replies = []
 
     def fetch_enc_phi(self):
-        return self.set_up([list(row) for row in self.enc_phi])
+        return self.set_up([list(row) for row in super().fetch_enc_phi()])
 
     def eval(self, enc_xi):
-        products = enc_eval(self.enc_phi, enc_xi, self.p)
-        self.replies.append(products)
-        return self.tamper(len(self.replies), products, self)
+        self.replies.append(super().eval(enc_xi))
+        return self.tamper(len(self.replies), self.replies[-1], self)
 
 
 class TestOnlineOffline:
@@ -569,18 +598,23 @@ class TestOnlineOffline:
                             session=session, on_step=lambda k, c: seen.append(k))
         assert session.replies == [] and seen == []
 
-    def test_service_holding_another_phi_is_named_at_set_up(self, phi, keys):
+    @pytest.mark.parametrize("networked", [False, True], ids=["in-process", "loopback"])
+    def test_service_holding_another_phi_is_named_at_set_up(self, networked, phi, keys):
         # one entry off by 1 %: before, every step ran on the service's Phi
         i, j = 1, 6
         assert phi[i][j] != 0.0
         other = phi.copy()
         other[i][j] *= 1.01
         enc_other = enc_matrix(other, EncodingParams(), keys, Drbg(41))
-        with ControllerService(enc_other, keys.p) as svc, \
-                DeviceSession(svc.address, timeout=2.0) as dev:
+        with contextlib.ExitStack() as stack:
+            if networked:
+                svc = stack.enter_context(ControllerService(enc_other, keys.p))
+                session = stack.enter_context(DeviceSession(svc.address, timeout=2.0))
+            else:
+                session = LocalEvaluator(enc_other, keys.p)
             with pytest.raises(ReplyIntegrityError,
                                match=re.escape(f"Enc(Phi)[{i+1}][{j+1}] does not decrypt")):
-                EncryptedController(phi, keys, session=dev)
+                EncryptedController(phi, keys, session=session)
 
     def test_masks_are_c1_of_phi_to_the_minus_s(self, phi, keys):
         # the ground truth, from the controller's own Enc(Phi), before any step
@@ -589,8 +623,9 @@ class TestOnlineOffline:
         masks = [(i, j, m) for i, row in enumerate(ctl.masks.mask) for j, m in row]
         assert [(i, j) for i, j, _ in masks] == [tuple(ij) for ij in np.argwhere(phi != 0.0)]
         assert len(masks) == 71
+        enc_phi = ctl.session.fetch_enc_phi()
         for i, j, m in masks:
-            assert m == pow(ctl.enc_phi[i][j].c1, e, p)
+            assert m == pow(enc_phi[i][j].c1, e, p)
 
     def test_refill_prepares_dec_plus_outside_the_step(self, phi, keys, enc_phi, monkeypatch):
         in_psi, prepared_in_psi = [], []
@@ -635,7 +670,7 @@ class TestOnlineOffline:
 
     def test_own_enc_phi_is_enc_matrix_of_its_nonce_stream(self, phi, keys):
         # drawn as pads off the fixed-base tables: the ciphertexts of per-entry encryption
-        assert EncryptedController(phi, keys, nonce_seed=31).enc_phi == \
+        assert EncryptedController(phi, keys, nonce_seed=31).session.fetch_enc_phi() == \
             enc_matrix(phi, EncodingParams(), keys, Drbg(31))
 
     def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
