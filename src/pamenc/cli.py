@@ -178,11 +178,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _enc_phi(path: str, keys: crypto.ElGamalKeys, seed: int | None):
-    """Enc(Phi) of the Phi file at `path`; the plaintext goes out of scope on return."""
+def _enc_phi(path: str, keys: crypto.ElGamalKeys):
+    """Enc(Phi) of the Phi file at `path`, OS-random nonces; the plaintext dies on return."""
     phi, encoding = polyctrl.load_phi(_in_path(path)), crypto.EncodingParams()
     crypto.check_overflow_guard(encoding, phi, keys.p)
-    return crypto.enc_matrix(phi, encoding, keys, crypto.Drbg(seed))
+    return crypto.enc_matrix(phi, encoding, keys, crypto.Drbg())
 
 
 def cmd_serve(args) -> int:
@@ -190,7 +190,7 @@ def cmd_serve(args) -> int:
     if keys.s is not None:
         raise BadCombinationError("key file holds the secret exponent; serve takes the .pub file")
     port = int(os.environ.get("PAMENC_PORT", args.port))
-    service = ControllerService(_enc_phi(args.phi, keys, args.seed), keys.p,
+    service = ControllerService(_enc_phi(args.phi, keys), keys.p,
                                 host=args.bind, port=port)
     service.start()
     try:
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pubkey", required=True, help="public key file (.pub)")
     p.add_argument("--bind", default="127.0.0.1")
     p.add_argument("--port", type=int, default=4650)
-    p.add_argument("--seed", type=int, default=None, help="nonce seed for Enc(Phi)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("evaluate", help="score one trace over metric windows")

@@ -7,13 +7,13 @@ decoding). One controller step encrypts the 18 xi entries, multiplies them
 elementwise against Enc(Phi), and decrypts/decodes the 90 products before
 summing rows in plaintext (Dec+).
 
-A step needs no modular power once its nonces are drawn ahead. Each xi_j
-takes a pad (g^k, h^k, h^-k) drawn between steps (`draw_pads`), so
-encrypting it is one multiplication. Drawing the pads runs no power either:
-g and h are fixed for the session, so g^k and h^k are products of rows of a
-precomputed `FixedBase` table, and all the h^-k come from one modular
-inverse (`_inverses`); with the tables `enc_matrix` encrypts Phi the same
-way, from 90 pads. Product (i, j) has c1 = c1(Phi_ij) g^k and decrypts as
+Every encryption draws its nonces as pads (g^k, h^k, h^-k) (`draw_pads`),
+so an entry takes one multiplication; a step's pads are drawn between steps,
+and Enc(Phi) takes 90. Drawing runs no power either: g and h are fixed per
+key, so g^k and h^k are products of rows of the key's `FixedBase` tables,
+built on first use, and all the h^-k come from one modular inverse
+(`_inverses`). `encrypt`, two powers an entry, stays as the reference.
+Product (i, j) has c1 = c1(Phi_ij) g^k and decrypts as
 c2 (c1(Phi_ij)^-s h^-k). The mask c1(Phi_ij)^-s is fixed for the session:
 `PhiMasks` computes it at setup from Enc(Phi), one power per nonzero entry
 of Phi, and checks that each decrypts its entry. So the decryption factor
@@ -35,9 +35,12 @@ import hashlib
 import math
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
+
+from .params import _check_keys, parse_kv_text
 
 # Deterministic Miller-Rabin base set: exact for n < 3.317e24 (~81 bits).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -156,6 +159,11 @@ class ElGamalKeys:
 
     def public(self) -> "ElGamalKeys":
         return ElGamalKeys(p=self.p, g=self.g, h=self.h)
+
+    @cached_property
+    def tables(self) -> tuple[FixedBase, FixedBase]:
+        """The `FixedBase` tables of g and h, built on first use and kept with the key."""
+        return FixedBase(self.g, self.p), FixedBase(self.h, self.p)
 
 
 class KeygenError(RuntimeError):
@@ -341,7 +349,7 @@ class FixedBase:
     8 multiplications at 64 bits (fixed-base windowing; Brickell, Gordon,
     McCurley and Wilson, EUROCRYPT '92; HAC 14.6.3). An exponent outside
     [0, 256^rows), a range that holds every exponent below p, raises
-    OverflowError.
+    OverflowError. A key keeps its g and h tables, built on first use.
     """
 
     def __init__(self, base: int, p: int):
@@ -381,14 +389,13 @@ def _inverses(xs: list[int], p: int) -> list[int]:
     return out
 
 
-def draw_pads(n: int, keys: ElGamalKeys, rng: Drbg,
-              tables: tuple[FixedBase, FixedBase]) -> list[Pad]:
-    """n pads, one nonce each from `rng` in the order `enc_vector` draws them.
+def draw_pads(n: int, keys: ElGamalKeys, rng: Drbg) -> list[Pad]:
+    """n pads, one nonce each from `rng`, in order.
 
-    `tables` are the session's FixedBase tables for g and h; the h^-k of all
-    n pads take one modular inverse between them.
+    g^k and h^k come off the key's FixedBase `tables`, so no modular power
+    runs; the h^-k of all n pads take one modular inverse between them.
     """
-    g_table, h_table = tables
+    g_table, h_table = keys.tables
     ks = [rng.randrange(1, keys.p - 1) for _ in range(n)]
     h_k = [h_table.pow(k) for k in ks]
     return [Pad(g_table.pow(k), hk, hik) for k, hk, hik in zip(ks, h_k, _inverses(h_k, keys.p))]
@@ -398,27 +405,24 @@ def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg | None = None,
                pads: list[Pad] | None = None) -> list[Ciphertext]:
     """Encode-then-encrypt a sequence of reals.
 
-    Each entry takes a fresh nonce from `rng`, or with `pads` the nonce of
-    its pad: (g^k, m h^k), one multiplication and no power.
+    Each entry takes its pad's nonce: (g^k, m h^k), one multiplication and
+    no power. The pads default to a draw from `rng`: `encrypt`'s nonces.
     """
     if pads is None:
-        return [encrypt(encode(float(v), delta, keys.p), keys, rng) for v in values]
+        pads = draw_pads(len(values), keys, rng)
     p = keys.p
     return [Ciphertext(pad.g_k, encode(float(v), delta, p) * pad.h_k % p)
             for v, pad in zip(values, pads, strict=True)]
 
 
-def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys, rng: Drbg,
-               tables: tuple[FixedBase, FixedBase] | None = None) -> list[list[Ciphertext]]:
+def enc_matrix(phi, params: EncodingParams, keys: ElGamalKeys,
+               rng: Drbg) -> list[list[Ciphertext]]:
     """Row-major encode-then-encrypt of the 5x18 controller matrix.
 
-    With `tables`, the session's FixedBase tables of g and h, the nonces are
-    drawn as pads (`draw_pads`) from the same stream in the same order: the
-    same ciphertexts, with one modular inverse in place of two powers an entry.
+    Its 90 pads are drawn from `rng` in row-major order: the ciphertexts of
+    `encrypt` entry by entry, with one modular inverse and no power.
     """
-    if tables is None:
-        return [enc_vector(row, params.delta_phi, keys, rng) for row in phi]
-    pads = iter(draw_pads(sum(len(row) for row in phi), keys, rng, tables))
+    pads = iter(draw_pads(sum(len(row) for row in phi), keys, rng))
     return [enc_vector(row, params.delta_phi, keys, pads=list(islice(pads, len(row))))
             for row in phi]
 
@@ -560,16 +564,9 @@ def save_keys(prefix: str | Path, keys: ElGamalKeys) -> tuple[Path, Path]:
 
 
 def load_keys(path: str | Path) -> ElGamalKeys:
-    fields: dict[str, int] = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, _, val = line.partition("=")
-        fields[name.strip()] = int(val.strip(), 16)
-    missing = {"p", "g", "h"} - set(fields)
-    if missing:
-        raise ValueError(f"key file missing fields {sorted(missing)}")
+    """Read and check a key file; a bad line or an unknown or missing name is named."""
+    fields = parse_kv_text(Path(path).read_text(), convert=lambda v: int(v, 16))
+    _check_keys(fields, {"p", "g", "h"} | ({"s"} & fields.keys()), f"key file {path}")
     keys = ElGamalKeys(p=fields["p"], g=fields["g"], h=fields["h"], s=fields.get("s"))
     if not (is_probable_prime(keys.p) and is_probable_prime(keys.p // 2)):
         raise ValueError("p is not a safe prime p = 2q+1")

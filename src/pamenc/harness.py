@@ -28,7 +28,6 @@ from .crypto import (
     Drbg,
     ElGamalKeys,
     EncodingParams,
-    FixedBase,
     Pad,
     PhiMasks,
     check_finite,
@@ -285,8 +284,8 @@ class EncryptedController(MatrixController):
     Phi. A step checks xi against its fixed-point bounds, encrypts it, sends
     it to `session.eval` and recovers psi with Dec+; `last_plain_psi` is the
     plaintext Phi xi on the same xi. No modular power runs in a step:
-    between steps `refill` draws its pads from the fixed-base tables of g
-    and h and prepares its Dec+, and no pad serves two steps. A c2 outside
+    between steps `refill` draws its pads off `keys.tables`, the key's own
+    fixed-base tables, and prepares its Dec+; no pad serves two steps. A c2 outside
     [1, p), or a DeviceSession reply with another sequence number, raises
     `crypto.ReplyIntegrityError`; a stale or altered c2 almost surely
     decodes outside its bound, `crypto.DecodeOverflowError`.
@@ -303,10 +302,8 @@ class EncryptedController(MatrixController):
         # lists, not arrays: Dec+ reads them one entry at a time
         self.bounds = check_overflow_guard(self.encoding, self.phi, keys.p).tolist()
         self.rng = Drbg(nonce_seed)
-        self.tables = (FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p))
         if session is None:  # the evaluator in-process, on an Enc(Phi) of the controller's own
-            session = LocalEvaluator(enc_matrix(self.phi, self.encoding, keys, self.rng,
-                                                self.tables), keys.p)
+            session = LocalEvaluator(enc_matrix(self.phi, self.encoding, keys, self.rng), keys.p)
         self.session = session
         self.masks = PhiMasks(session.fetch_enc_phi(), self.phi.tolist(), self.encoding, keys)
         # the next step's pads and prepared Dec+, until it takes them
@@ -316,7 +313,7 @@ class EncryptedController(MatrixController):
     def refill(self) -> None:
         """Offline work: the next step's nonce pads and prepared Dec+, unless unused ones wait."""
         if self._ready is None:
-            pads = draw_pads(18, self.keys, self.rng, self.tables)
+            pads = draw_pads(18, self.keys, self.rng)
             self._ready = pads, self.masks.prepare(pads, self.keys.p)
 
     def psi(self, xi: np.ndarray) -> np.ndarray:

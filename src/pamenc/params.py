@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 PRESSURE_MIN = 200.0
 PRESSURE_MAX = 750.0
@@ -163,8 +164,8 @@ DEFAULT_GAINS = GAIN_PRESETS["surrogate"]
 # ---------------------------------------------------------------------------
 # Flat key-value parameter files: one `name = value` per line, `#` comments.
 
-def parse_kv_text(text: str) -> dict[str, float]:
-    values: dict[str, float] = {}
+def parse_kv_text(text: str, convert: Callable[[str], object] = float) -> dict[str, object]:
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,7 +177,7 @@ def parse_kv_text(text: str) -> dict[str, float]:
         if name in values:
             raise ValueError(f"line {lineno}: duplicate key {name!r}")
         try:
-            values[name] = float(val.strip())
+            values[name] = convert(val.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad numeric value for {name!r}") from exc
     return values

@@ -2,6 +2,7 @@
 
 import os
 import select
+import shlex
 import signal
 import socket
 import subprocess
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from pamenc import SimTrace, load_keys, load_phi
-from pamenc.cli import EXIT_BAD_COMBINATION, EXIT_MISSING_FILE, EXIT_RUNTIME, main
+from pamenc.cli import (EXIT_BAD_COMBINATION, EXIT_MISSING_FILE, EXIT_RUNTIME,
+                        build_parser, main)
 
 
 @pytest.fixture()
@@ -109,6 +111,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err == "pamenc: sensor p1 = nan at step 0 (t = 0 s) is not finite\n"
         assert not out.exists()
+
+    def test_key_file_with_a_second_h_line_exits_runtime(self, workspace, short_profile,
+                                                         tmp_path, capsys):
+        # a repeated name is refused, not settled by its last line
+        bad = tmp_path / "bad.sec"
+        bad.write_text((workspace / "key.sec").read_text() + "h = 2\n")
+        rc = main(["simulate", "--mode", "encrypted", "--profile", str(short_profile),
+                   "--phi", str(workspace / "phi.csv"), "--keys", str(bad),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == "pamenc: line 5: duplicate key 'h'\n"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--mode", "approx", "--profile", "ref2",
@@ -400,3 +414,20 @@ class TestServeProcess:
                 proc.communicate()
         assert proc.returncode == EXIT_BAD_COMBINATION
         assert "secret exponent" in err
+
+
+def _readme_cli_commands() -> list[str]:
+    """The `pamenc ...` commands of README's CLI block, continuation lines joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("pamenc ")]
+
+
+def test_readme_cli_commands_parse():
+    # parse only: a removed or renamed option in the README fails here
+    commands = _readme_cli_commands()
+    for command in commands:
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])  # exits on an error
+    assert {shlex.split(c)[1] for c in commands} == {
+        "keygen", "fit", "build-phi", "simulate", "serve", "evaluate", "compare"}

@@ -164,6 +164,20 @@ class TestKeygen:
         with pytest.raises(ValueError, match=match):
             load_keys(bad)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda text: text + "q = 5\n", r"unknown keys \['q'\]"),
+        (lambda text: text + "h = 2\n", r"line 4: duplicate key 'h'"),
+        (lambda text: text.replace("g = ", "g "), r"line 2: expected 'name = value'"),
+    ], ids=["stray-q", "second-h", "no-equals"])
+    def test_key_file_bad_line_is_named(self, keys64, tmp_path, edit, match):
+        # key files follow the parameter files' line rules, so no line is dropped or
+        # overridden silently, and the error names the line rather than int()'s literal
+        pub, _ = save_keys(tmp_path / "key", keys64)
+        bad = tmp_path / "bad.pub"
+        bad.write_text(edit(pub.read_text()))
+        with pytest.raises(ValueError, match=match):
+            load_keys(bad)
+
 
 class TestEncodeDecode:
     def test_unit_value(self, keys64):
@@ -324,14 +338,33 @@ class TestFixedBase:
     def test_pads_match_builtin_pow(self, bits, seed, nonce_seed):
         keys = keygen(bits=bits, seed=seed)
         p = keys.p
-        tables = (FixedBase(keys.g, p), FixedBase(keys.h, p))
         rng = Drbg(nonce_seed)
         want = []
         for _ in range(18):
             k = rng.randrange(1, p - 1)
             h_k = pow(keys.h, k, p)
             want.append(Pad(pow(keys.g, k, p), h_k, pow(h_k, -1, p)))
-        assert draw_pads(18, keys, Drbg(nonce_seed), tables) == want
+        assert draw_pads(18, keys, Drbg(nonce_seed)) == want
+
+    def test_tables_are_the_keys_built_on_first_use(self, monkeypatch):
+        # g and h are fixed per key, so its tables are built once, lazily, and stay out
+        # of the key's equality, hash and repr
+        built = []
+        init = FixedBase.__init__
+
+        def counting_init(self, base, p):
+            built.append(base)
+            init(self, base, p)
+
+        monkeypatch.setattr(FixedBase, "__init__", counting_init)
+        keys = keygen(bits=64, seed=2024)
+        assert built == []
+        draw_pads(18, keys, Drbg(0))
+        enc_matrix(np.ones((5, 18)), EncodingParams(), keys, Drbg(1))
+        assert built == [keys.g, keys.h]
+        assert keys.tables[0].pow(5) == pow(keys.g, 5, keys.p)
+        copy = keygen(bits=64, seed=2024)
+        assert copy == keys and hash(copy) == hash(keys) and repr(copy) == repr(keys)
 
 
 @pytest.fixture(scope="module")
@@ -344,11 +377,18 @@ class TestMatrixPipeline:
     @pytest.mark.parametrize("nonce_seed", [0, 11])
     def test_enc_matrix_from_tables_is_per_entry_encryption(self, keys64, phi, nonce_seed):
         # the same nonces in the same order, so the stream after it agrees too
-        p = keys64.p
+        p, delta = keys64.p, EncodingParams().delta_phi
         a, b = Drbg(nonce_seed), Drbg(nonce_seed)
-        tables = (FixedBase(keys64.g, p), FixedBase(keys64.h, p))
-        assert enc_matrix(phi, EncodingParams(), keys64, a, tables) == \
-            enc_matrix(phi, EncodingParams(), keys64, b)
+        assert enc_matrix(phi, EncodingParams(), keys64, a) == \
+            [[encrypt(encode(float(v), delta, p), keys64, b) for v in row] for row in phi]
+        assert a.randrange(1, p - 1) == b.randrange(1, p - 1)
+
+    @pytest.mark.parametrize("nonce_seed", [0, 11])
+    def test_enc_vector_from_rng_is_per_entry_encryption(self, keys64, nonce_seed):
+        p, xi = keys64.p, np.linspace(-0.5, 0.5, 18)
+        a, b = Drbg(nonce_seed), Drbg(nonce_seed)
+        assert enc_vector(xi, 1e8, keys64, a) == \
+            [encrypt(encode(float(v), 1e8, p), keys64, b) for v in xi]
         assert a.randrange(1, p - 1) == b.randrange(1, p - 1)
 
     def test_enc_matrix_roundtrip(self, keys64, phi):
@@ -476,8 +516,7 @@ class TestOnlineDecPlus:
         enc_phi = enc_matrix(phi, enc, keys, rng)
         return dict(enc=enc, rng=rng, enc_phi=enc_phi,
                     bounds=check_overflow_guard(enc, phi, keys.p), zero_mask=phi == 0.0,
-                    masks=PhiMasks(enc_phi, phi, enc, keys),
-                    tables=(FixedBase(keys.g, keys.p), FixedBase(keys.h, keys.p)))
+                    masks=PhiMasks(enc_phi, phi, enc, keys))
 
     @pytest.fixture()
     def session(self, keys64, phi):
@@ -491,7 +530,7 @@ class TestOnlineDecPlus:
     def _step(self, s, keys, xi, pads=None):
         """The step's full products, whose c2 halves are `enc_eval`'s, and its pads."""
         if pads is None:
-            pads = draw_pads(18, keys, s["rng"], s["tables"])
+            pads = draw_pads(18, keys, s["rng"])
         enc_xi = enc_vector(xi, s["enc"].delta_xi, keys, pads=pads)
         products = hom_products(s["enc_phi"], enc_xi, keys.p)
         assert enc_eval(s["enc_phi"], enc_xi, keys.p) == c2_of(products)
@@ -541,7 +580,7 @@ class TestOnlineDecPlus:
         np_rng = np.random.default_rng(23)
         for s, keys in self._sessions(session, keys64, phi):
             for _ in range(6):
-                pads = draw_pads(18, keys, s["rng"], s["tables"])
+                pads = draw_pads(18, keys, s["rng"])
                 prepared = s["masks"].prepare(pads, keys.p)
                 xi = np.array([np_rng.uniform(-b, b) for b in s["enc"].xi_bounds])
                 products, _ = self._step(s, keys, xi, pads)

@@ -35,7 +35,8 @@ from pamenc import (
     run_closed_loop,
     window_tracking_stats,
 )
-from pamenc.crypto import DecodeOverflowError, ReplyIntegrityError, find_session_key
+from pamenc.crypto import (DecodeOverflowError, ElGamalKeys, ReplyIntegrityError,
+                           find_session_key)
 from pamenc.harness import EncryptedController, LocalEvaluator, load_profile
 
 
@@ -414,6 +415,12 @@ class TestSensorNoise:
 ZIN = ControllerInput(P1=450.0, P2=450.0, theta=0.0, theta_ref=math.radians(5.0), kp_ref=6.0)
 
 
+def _per_entry(rows, delta, keys, rng):
+    """Each entry encoded and encrypted on its own by `crypto.encrypt`, in row-major nonce order."""
+    return [[crypto.encrypt(crypto.encode(float(v), delta, keys.p), keys, rng) for v in row]
+            for row in rows]
+
+
 class FakeSession(LocalEvaluator):
     """The in-process evaluator with two hooks: `set_up` may edit a copy of the Enc(Phi)
     it hands out, and `tamper(k, c2s, self)` may edit its reply to step k."""
@@ -528,10 +535,10 @@ class TestOnlineOffline:
             run_closed_loop("encrypted", short_profile, **kw)
         rng = Drbg(17)
         if not networked:
-            enc_matrix(phi, EncodingParams(), keys, rng)
+            _per_entry(phi, EncodingParams().delta_phi, keys, rng)
         assert len(requests) == 100
         for xi, got in zip(xis, requests):
-            assert got == crypto.enc_vector(xi, EncodingParams().delta_xi, keys, rng)
+            assert got == _per_entry([xi], EncodingParams().delta_xi, keys, rng)[0]
 
     # a reply holds c2 only, so there is no c1 to compare: a stale or altered c2 decrypts
     # to a value spread over the group, which Dec+'s bound check refuses
@@ -671,7 +678,30 @@ class TestOnlineOffline:
     def test_own_enc_phi_is_enc_matrix_of_its_nonce_stream(self, phi, keys):
         # drawn as pads off the fixed-base tables: the ciphertexts of per-entry encryption
         assert EncryptedController(phi, keys, nonce_seed=31).session.fetch_enc_phi() == \
-            enc_matrix(phi, EncodingParams(), keys, Drbg(31))
+            _per_entry(phi, EncodingParams().delta_phi, keys, Drbg(31))
+
+    def test_one_key_builds_its_tables_once(self, phi, keys, monkeypatch):
+        # two in-process controllers, an Enc(Phi) for a service and a networked
+        # controller's refills all draw their pads off the key's one pair of tables
+        built = []
+        init = crypto.FixedBase.__init__
+
+        def counting_init(self, base, p):
+            built.append(base)
+            init(self, base, p)
+
+        monkeypatch.setattr(crypto.FixedBase, "__init__", counting_init)
+        fresh = ElGamalKeys(keys.p, keys.g, keys.h, keys.s)
+        for nonce_seed in (1, 2):
+            EncryptedController(phi, fresh, nonce_seed=nonce_seed).step(ZIN)
+        enc_phi = enc_matrix(phi, EncodingParams(), fresh, Drbg(40))
+        with ControllerService(enc_phi, keys.p) as svc, \
+                DeviceSession(svc.address, timeout=2.0) as dev:
+            ctl = EncryptedController(phi, fresh, session=dev)
+            for _ in range(3):
+                ctl.refill()
+                ctl.step(ZIN)
+        assert built == [keys.g, keys.h]
 
     def test_offline_time_kept_out_of_the_csv(self, short_profile, phi, keys, tmp_path):
         trace = run_closed_loop("encrypted", short_profile, phi=phi, keys=keys,
