@@ -7,12 +7,11 @@ decoding). One controller step encrypts the 18 xi entries, multiplies them
 elementwise against Enc(Phi), and decrypts/decodes the 90 products before
 summing rows in plaintext (Dec+).
 
-Every encryption draws its nonces as pads (g^k, h^k, h^-k) (`draw_pads`),
-so an entry takes one multiplication; a step's pads are drawn between steps,
-and Enc(Phi) takes 90. Drawing runs no power either: g and h are fixed per
-key, so g^k and h^k are products of rows of the key's `FixedBase` tables,
-built on first use, and all the h^-k come from one modular inverse
-(`_inverses`). `encrypt`, two powers an entry, stays as the reference.
+Every encryption draws its nonces as pads (g^k, h^k) (`draw_pads`), so an
+entry takes one multiplication; a step's pads are drawn between steps, and
+Enc(Phi) takes 90. Drawing runs no power either: g and h are fixed per key,
+so g^k and h^k are products of rows of the key's `FixedBase` tables, built
+on first use. `encrypt`, two powers an entry, stays as the reference.
 Product (i, j) has c1 = c1(Phi_ij) g^k and decrypts as
 c2 (c1(Phi_ij)^-s h^-k). The mask c1(Phi_ij)^-s is fixed for the session:
 `PhiMasks` computes it at setup from Enc(Phi), one power per nonzero entry
@@ -20,9 +19,17 @@ of Phi, and checks that each decrypts its entry. So the decryption factor
 of every product is known before its reply arrives, and no one needs a
 product's c1: `enc_eval` computes only the c2 halves, c2(Phi_ij) c2(xi_j),
 `PhiMasks.prepare` computes the factors between steps, a row of (j,
-c1_ij^-s) pairs per row of Phi, and online Dec+ decrypts a product in one
-multiplication. `hom_mul` and `power_factors` keep the full products and
-decryption by powers as the reference.
+c1_ij^-s) pairs per row of Phi, with all 18 h^-k from one modular inverse
+(`_inverses`), and online Dec+ decrypts a product in one multiplication.
+`hom_mul` and `power_factors` keep the full products and decryption by
+powers as the reference.
+
+Key generation draws safe-prime candidates p = 2q+1 from `Drbg`, a SHA-256
+counter-mode stream. Trial division is C-level gcds, not a Python loop over
+the 303 sieve primes below 2000: one small gcd of q mod W against the wheel
+W of the primes up to 53 ends most candidates, and a survivor must be
+coprime to the product of all the sieve primes before Miller-Rabin runs
+(`is_probable_prime` does its own trial division the same way).
 
 This is a demonstration-scale construction: 64-bit keys and a full-group
 embedding (which leaks quadratic residuosity) are NOT production
@@ -61,6 +68,12 @@ def _primes_below(n: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _primes_below(2000)
+_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+# n >= 2000 has a sieve prime as a factor iff gcd(n, _SIEVE_PRODUCT) > 1: one C-level gcd
+_SIEVE_PRODUCT = math.prod(_SMALL_PRIMES)
+# The primes up to 53: q % _WHEEL is below 2^65, and q, 2q+1 share a factor with
+# _WHEEL iff q % _WHEEL, 2(q % _WHEEL)+1 do, so most keygen candidates end on one small gcd
+_WHEEL = math.prod(p for p in _SMALL_PRIMES if p <= 53)
 
 
 class Drbg:
@@ -81,18 +94,21 @@ class Drbg:
             self._counter = 0
 
     def randbytes(self, n: int) -> bytes:
+        """The next n bytes: whole SHA-256 blocks, one per counter value, cut to n."""
         if self._state is None:
             return secrets.token_bytes(n)
-        out = b""
-        while len(out) < n:  # whole SHA-256 blocks, one per counter value
-            out += hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
-            self._counter += 1
-        return out[:n]
+        c = self._counter
+        blocks = -(-n // 32)  # n = 0 takes none
+        self._counter = c + blocks
+        if blocks == 1:
+            return hashlib.sha256(self._state + c.to_bytes(8, "big")).digest()[:n]
+        state, sha256 = self._state, hashlib.sha256
+        return b"".join([sha256(state + i.to_bytes(8, "big")).digest()
+                         for i in range(c, c + blocks)])[:n]
 
     def randbits(self, k: int) -> int:
         nbytes = (k + 7) // 8
-        val = int.from_bytes(self.randbytes(nbytes), "big")
-        return val >> (8 * nbytes - k)
+        return int.from_bytes(self.randbytes(nbytes), "big") >> (8 * nbytes - k)
 
     def randrange(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi) by rejection sampling."""
@@ -107,14 +123,15 @@ class Drbg:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; exact below ~81 bits, above that 64 bases from Drbg(n) (error < 4^-64)."""
-    if n < 2:
+    """Miller-Rabin after trial division by the sieve primes.
+
+    Exact below ~81 bits; above that 64 bases from Drbg(n) (error < 4^-64),
+    drawn one at a time, so a composite stops drawing at its first witness.
+    """
+    if n < 2000:
+        return n in _SMALL_PRIME_SET
+    if math.gcd(n, _SIEVE_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -135,7 +152,7 @@ def is_probable_prime(n: int) -> bool:
         bases = _MR_BASES
     else:
         rng = Drbg(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
+        bases = (rng.randrange(2, n - 1) for _ in range(64))
     return not any(witness(a) for a in bases)
 
 
@@ -177,9 +194,12 @@ def keygen(bits: int = 64, seed: int | None = None) -> ElGamalKeys:
     rng = Drbg(seed)
     for _ in range(_KEYGEN_ATTEMPTS):
         q = rng.randbits(bits - 1) | (1 << (bits - 2)) | 1
+        r = q % _WHEEL
+        if math.gcd(r * (2 * r + 1), _WHEEL) != 1:
+            continue
         p = 2 * q + 1
         # q >= 2^14 for all allowed bit lengths, so q itself is never a sieve prime
-        if any(q % sp == 0 or p % sp == 0 for sp in _SMALL_PRIMES):
+        if math.gcd(q * p, _SIEVE_PRODUCT) != 1:
             continue
         if not is_probable_prime(q):
             continue
@@ -334,11 +354,10 @@ def find_session_key(phi, params: EncodingParams | None = None, bits: int = 64,
 
 
 class Pad(NamedTuple):
-    """One nonce k drawn ahead: g^k, h^k and h^-k mod p."""
+    """One nonce k drawn ahead: g^k and h^k mod p."""
 
     g_k: int
     h_k: int
-    h_inv_k: int
 
 
 class FixedBase:
@@ -392,13 +411,11 @@ def _inverses(xs: list[int], p: int) -> list[int]:
 def draw_pads(n: int, keys: ElGamalKeys, rng: Drbg) -> list[Pad]:
     """n pads, one nonce each from `rng`, in order.
 
-    g^k and h^k come off the key's FixedBase `tables`, so no modular power
-    runs; the h^-k of all n pads take one modular inverse between them.
+    g^k and h^k come off the key's FixedBase `tables`, so no modular power runs.
     """
     g_table, h_table = keys.tables
     ks = [rng.randrange(1, keys.p - 1) for _ in range(n)]
-    h_k = [h_table.pow(k) for k in ks]
-    return [Pad(g_table.pow(k), hk, hik) for k, hk, hik in zip(ks, h_k, _inverses(h_k, keys.p))]
+    return [Pad(g_table.pow(k), h_table.pow(k)) for k in ks]
 
 
 def enc_vector(values, delta: float, keys: ElGamalKeys, rng: Drbg | None = None, *,
@@ -489,7 +506,8 @@ class PhiMasks:
     or c2 outside [1, p), or a mask that does not decrypt its entry to
     encode(Phi_ij), raises ReplyIntegrityError before any step. `prepare`
     turns the masks and a step's pads into that step's factor rows before
-    its reply arrives: a (j, mask_ij h^-k) pair per mask, 71 multiplications.
+    its reply arrives: the pads' h^-k, then a (j, mask_ij h^-k) pair per
+    mask, 71 multiplications.
     """
 
     def __init__(self, enc_phi: list[list[Ciphertext]], phi, params: EncodingParams,
@@ -508,8 +526,8 @@ class PhiMasks:
                         f"{float(phi_row[j])!r}; the service holds another Phi")
 
     def prepare(self, pads: list[Pad], p: int) -> list[list[tuple[int, int]]]:
-        """The step's decryption factors."""
-        h_inv_k = [pad.h_inv_k for pad in pads]
+        """The step's decryption factors; the h^-k of all its pads take one modular inverse."""
+        h_inv_k = _inverses([pad.h_k for pad in pads], p)
         return [[(j, m * h_inv_k[j] % p) for j, m in row] for row in self.mask]
 
 

@@ -306,7 +306,7 @@ class EncryptedController(MatrixController):
             session = LocalEvaluator(enc_matrix(self.phi, self.encoding, keys, self.rng), keys.p)
         self.session = session
         self.masks = PhiMasks(session.fetch_enc_phi(), self.phi.tolist(), self.encoding, keys)
-        # the next step's pads and prepared Dec+, until it takes them
+        # the next step's pads and its Dec+, prepared from their h^-k, until it takes them
         self._ready: tuple[list[Pad], list[list[tuple[int, int]]]] | None = None
         self.last_plain_psi: np.ndarray | None = None
 

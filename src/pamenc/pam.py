@@ -76,11 +76,25 @@ def estimate_force(theta: float, pressure: float, muscle: int, params: PamParams
 
 
 def measured_stiffness(state: PlantState, params: PamParams) -> float:
-    """Stiffness at the current plant state using the model force map."""
-    l1, l2 = pam_lengths(state.theta, params)
-    F1 = contraction_force(l1, state.P1, 0, params)
-    F2 = contraction_force(l2, state.P2, 1, params)
-    return joint_stiffness(state.theta, F1, F2, state.P1, state.P2, params)
+    """Stiffness at the current plant state using the model force map.
+
+    `joint_stiffness` of the `contraction_force`s at the `pam_lengths`,
+    written out on locals term for term in the same order, so it rounds
+    exactly as those helpers do, with the lengths computed once.
+    """
+    theta, _, P1, P2 = state
+    r = params.r
+    c1, c2 = params.force_coeffs
+    d = r * math.sin(theta)
+    l1, l2 = params.L0 - d, params.L0 + d
+    if l1 <= 0.0 or l2 <= 0.0:
+        raise ValueError(f"nonpositive muscle length at theta={theta!r}")
+    F1 = (c1.a1 * l1 + c1.a2) * P1 + (c1.b1 * l1 + c1.b2)
+    F2 = (c2.a1 * l2 + c2.a2) * P2 + (c2.b1 * l2 + c2.b2)
+    c = math.cos(theta)
+    return d * (F1 - F2) + r**2 * c * c * (
+        (F1 - (c1.a2 * P1 + c1.b2)) / l1 + (F2 - (c2.a2 * P2 + c2.b2)) / l2
+    )
 
 
 def plant_step(state: PlantState, u1: float, u2: float, sp: SurrogatePlantParams,

@@ -31,6 +31,7 @@ from pamenc import (
     load_keys,
     save_keys,
 )
+from pamenc import crypto
 from pamenc.crypto import (
     DecodeOverflowError,
     EncodeOverflowError,
@@ -336,15 +337,33 @@ class TestFixedBase:
     @pytest.mark.parametrize("bits, seed", [(64, 2024), (256, 3)])
     @pytest.mark.parametrize("nonce_seed", [0, 11])
     def test_pads_match_builtin_pow(self, bits, seed, nonce_seed):
+        # a pad is (g^k, h^k); the h^-k only Dec+ reads is `PhiMasks.prepare`'s to compute
         keys = keygen(bits=bits, seed=seed)
         p = keys.p
         rng = Drbg(nonce_seed)
         want = []
         for _ in range(18):
             k = rng.randrange(1, p - 1)
-            h_k = pow(keys.h, k, p)
-            want.append(Pad(pow(keys.g, k, p), h_k, pow(h_k, -1, p)))
+            want.append(Pad(pow(keys.g, k, p), pow(keys.h, k, p)))
         assert draw_pads(18, keys, Drbg(nonce_seed)) == want
+
+    def test_only_the_refill_inverts(self, monkeypatch, keys64, phi):
+        # one-shot encryptions read no h^-k, so they run no batch inverse; a refill runs one
+        calls = []
+        inverses = crypto._inverses
+
+        def counting_inverses(xs, p):
+            calls.append(len(xs))
+            return inverses(xs, p)
+
+        monkeypatch.setattr(crypto, "_inverses", counting_inverses)
+        enc = EncodingParams()
+        enc_phi = enc_matrix(phi, enc, keys64, Drbg(1))
+        enc_vector(np.zeros(18), enc.delta_xi, keys64, Drbg(2))
+        assert calls == []
+        masks = PhiMasks(enc_phi, phi, enc, keys64)
+        masks.prepare(draw_pads(18, keys64, Drbg(3)), keys64.p)
+        assert calls == [18]
 
     def test_tables_are_the_keys_built_on_first_use(self, monkeypatch):
         # g and h are fixed per key, so its tables are built once, lazily, and stay out
@@ -668,6 +687,71 @@ class TestOnlineDecPlus:
                 self._dec(session, keys64, products)
 
 
+# The draws and the key search as they were written before trial division became
+# gcds and the stream lost its `+=` loop: references for the seeded outputs, which
+# must not change.
+
+class _LoopDrbg(Drbg):
+    """`Drbg` with its blocks appended one at a time in a while loop."""
+
+    def randbytes(self, n):
+        out = b""
+        while len(out) < n:
+            out += hashlib.sha256(self._state + self._counter.to_bytes(8, "big")).digest()
+            self._counter += 1
+        return out[:n]
+
+
+def _loop_is_probable_prime(n):
+    """Trial division one sieve prime at a time, then Miller-Rabin on all bases drawn first."""
+    if n < 2:
+        return False
+    for p in crypto._SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def witness(a):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            return False
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return False
+        return True
+
+    if n < crypto._MR_DETERMINISTIC_LIMIT:
+        bases = crypto._MR_BASES
+    else:
+        rng = _LoopDrbg(n)
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
+    return not any(witness(a) for a in bases)
+
+
+def _loop_keygen(bits, seed):
+    """`keygen` with a generator over the sieve primes per candidate."""
+    rng = _LoopDrbg(seed)
+    while True:
+        q = rng.randbits(bits - 1) | (1 << (bits - 2)) | 1
+        p = 2 * q + 1
+        if any(q % sp == 0 or p % sp == 0 for sp in crypto._SMALL_PRIMES):
+            continue
+        if _loop_is_probable_prime(q) and _loop_is_probable_prime(p):
+            break
+    while True:
+        g = rng.randrange(2, p - 1)
+        if pow(g, q, p) != 1:
+            break
+    s = rng.randrange(2, p - 1)
+    return crypto.ElGamalKeys(p=p, g=g, h=pow(g, s, p), s=s)
+
+
 class TestDrbg:
     def test_deterministic_stream(self):
         assert Drbg(5).randbytes(64) == Drbg(5).randbytes(64)
@@ -708,3 +792,72 @@ class TestDrbg:
 
     def test_seed_above_2_256(self):
         assert Drbg(2**300).randbytes(32) != Drbg(2**300 + 1).randbytes(32)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**300, -3, b"pamenc"], ids=str)
+    def test_randbytes_match_the_loop(self, seed):
+        # each size alone, then all in a row on one stream, and the counter after each
+        sizes = [0, 1, 31, 32, 33, 64, 100]
+        for n in sizes:
+            a, b = Drbg(seed), _LoopDrbg(seed)
+            assert (a.randbytes(n), a._counter) == (b.randbytes(n), b._counter)
+        a, b = Drbg(seed), _LoopDrbg(seed)
+        for n in sizes + sizes[::-1]:
+            assert (a.randbytes(n), a._counter) == (b.randbytes(n), b._counter)
+        assert a._counter == 2 * (0 + 1 + 1 + 1 + 2 + 2 + 4)  # randbytes(0) takes no block
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**300, -3, b"pamenc"], ids=str)
+    def test_randbits_match_the_loop(self, seed):
+        widths = [0, 1, 7, 8, 63, 64, 255, 256, 257, 1000]
+        for k in widths:
+            a, b = Drbg(seed), _LoopDrbg(seed)
+            v = a.randbits(k)
+            assert (v, a._counter) == (b.randbits(k), b._counter)
+            assert 0 <= v < 2**k
+        a, b = Drbg(seed), _LoopDrbg(seed)
+        for k in widths + widths[::-1]:
+            assert (a.randbits(k), a._counter) == (b.randbits(k), b._counter)
+        assert a._counter == 2 * (0 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 2 + 4)
+
+
+class TestKeySearch:
+    """Trial division by gcds and lazy Miller-Rabin bases: the same keys and verdicts."""
+
+    @pytest.mark.parametrize("bits, seeds", [
+        (16, range(40)), (32, range(40)), (64, range(2000, 2100)), (128, range(6)),
+        (256, range(3)),
+    ], ids=lambda v: str(v) if isinstance(v, int) else f"{v.start}-{v.stop - 1}")
+    def test_keygen_matches_the_loop(self, bits, seeds):
+        for seed in seeds:
+            assert keygen(bits=bits, seed=seed) == _loop_keygen(bits, seed), seed
+
+    def test_primality_matches_the_loop(self):
+        small = range(-2, 20000)
+        assert [is_probable_prime(n) for n in small] == [_loop_is_probable_prime(n) for n in small]
+        # around the trial-division limit, the deterministic-base limit and the sieve
+        # primes' squares and products
+        edges = [1999, 2000, 2001, 2003, 1997**2, 1993 * 1997, 1999 * 2003,
+                 crypto._MR_DETERMINISTIC_LIMIT - 2, crypto._MR_DETERMINISTIC_LIMIT,
+                 2**89 - 1, (2**89 - 1) * 1999, (2**89 - 1) * (2**61 - 1), 2**128 + 1]
+        assert [is_probable_prime(n) for n in edges] == [_loop_is_probable_prime(n) for n in edges]
+
+    def test_a_composite_stops_drawing_at_its_first_witness(self, monkeypatch):
+        # above 81 bits the 64 bases come from Drbg(n) one at a time: a prime takes all 64,
+        # a composite with no sieve-prime factor only those up to its first witness
+        draws = []
+        randrange = Drbg.randrange
+
+        def counting_randrange(self, lo, hi):
+            draws.append(hi)
+            return randrange(self, lo, hi)
+
+        monkeypatch.setattr(Drbg, "randrange", counting_randrange)
+        assert is_probable_prime(2**127 - 1)
+        assert len(draws) == 64
+        draws.clear()
+        for n in ((2**89 - 1) * (2**61 - 1), (2**89 - 1) ** 2, (2**521 - 1) * (2**127 - 1)):
+            assert not is_probable_prime(n)
+        assert len(draws) == 3
+        draws.clear()
+        assert not is_probable_prime((2**89 - 1) * 1999)  # trial division: no draw
+        assert draws == []
+

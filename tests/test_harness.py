@@ -477,11 +477,12 @@ class TestOnlineOffline:
         else:
             run_closed_loop("encrypted", profile, phi=phi, keys=keys, warmup=2.0)
         # set-up computes one session mask per nonzero entry; in-process it also
-        # encrypts its own Phi from 90 pads off the tables, one batch inverse
+        # encrypts its own Phi from 90 pads off the tables, with no inverse: only a
+        # refill reads h^-k
         nonzero = int(np.count_nonzero(phi))
         assert nonzero == 71
         assert masks == [(nonzero, 0)]
-        assert setups == [(nonzero, 0 if networked else 1)]
+        assert setups == [(nonzero, 0)]
         assert steps == [(0, 0)] * 20  # step 1 included
         assert refills == [(0, 1)] * 20  # fixed-base tables, one batch inverse
 

@@ -19,6 +19,7 @@ from pamenc import (
     joint_stiffness,
     joint_torque,
     load_table2_muscle,
+    measured_stiffness,
     pam_lengths,
     plant_step,
     with_load_mass,
@@ -145,6 +146,35 @@ class TestStiffness:
         k_a = joint_stiffness(0.0, 310.0, 260.0, 520.0, 430.0, p)
         k_b = joint_stiffness(0.0, 260.0, 310.0, 430.0, 520.0, p)
         assert k_a == pytest.approx(k_b, rel=1e-13)
+
+    @pytest.mark.parametrize("which", ["default", "two-maps", "table2"])
+    def test_measured_stiffness_is_the_helpers_bit_for_bit(self, which):
+        # written out on locals, it rounds as joint_stiffness of the contraction_forces at
+        # the pam_lengths; the pressures include both clamps and a noisy reading past each
+        fc1 = DEFAULT_PAM.force_coeffs[0]
+        fc2 = MuscleCoeffs(a1=fc1.a1 * 1.1, a2=fc1.a2 * 0.9, b1=fc1.b1 * 1.05, b2=fc1.b2 * 0.95)
+        pp = {"default": DEFAULT_PAM,
+              "two-maps": PamParams(r=DEFAULT_PAM.r, L0=DEFAULT_PAM.L0, force_coeffs=(fc1, fc2),
+                                    est_coeffs=DEFAULT_PAM.est_coeffs),
+              "table2": load_table2_muscle()}[which]
+        thetas = [-THETA_LIMIT, -0.2, -1e-9, -0.0, 0.0, 1e-9, 0.05, 0.2, THETA_LIMIT]
+        pressures = [PRESSURE_MIN - 0.3, PRESSURE_MIN, 333.3, 475.0, PRESSURE_MAX,
+                     PRESSURE_MAX + 0.3]
+        for theta in thetas:
+            l1, l2 = pam_lengths(theta, pp)
+            for P1 in pressures:
+                for P2 in pressures:
+                    want = joint_stiffness(theta, contraction_force(l1, P1, 0, pp),
+                                           contraction_force(l2, P2, 1, pp), P1, P2, pp)
+                    got = measured_stiffness(PlantState(theta, 0.3, P1, P2), pp)
+                    assert got.hex() == want.hex(), (theta, P1, P2)
+
+    def test_measured_stiffness_nonpositive_length_raises(self):
+        pp = sym_params()
+        object.__setattr__(pp, "r", 2.0 * pp.L0)  # past PamParams' r < L0 check
+        for theta in (0.6, -0.6):
+            with pytest.raises(ValueError, match="nonpositive muscle length"):
+                measured_stiffness(PlantState(theta, 0.0, 400.0, 400.0), pp)
 
 
 class TestEstimator:

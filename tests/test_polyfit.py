@@ -57,7 +57,56 @@ class TestSampleGrid:
             FeatureSpec(theta_range=(-math.pi / 2, math.pi / 2))
 
 
+def _residual_lasso(X, y, lam):
+    """`lasso_fit` as coordinate descent on the residual: an O(n) dot product per update.
+
+    The reference for the covariance updates: same standardization, coordinate
+    order and stopping rule.
+    """
+    n, d = X.shape
+    mu, sigma = X.mean(axis=0), X.std(axis=0)
+    Xs = (X - mu) / sigma
+    ybar = y.mean()
+    resid = y - ybar
+    w = np.zeros(d)
+    sweeps = 0
+    while sweeps < 100_000:
+        sweeps += 1
+        max_delta = 0.0
+        for j in range(d):
+            xj = Xs[:, j]
+            w_new = soft_threshold((xj @ resid) / n + w[j], lam)
+            delta = w_new - w[j]
+            if delta != 0.0:
+                resid -= delta * xj
+                w[j] = w_new
+            max_delta = max(max_delta, abs(delta))
+        if max_delta < 1e-10:
+            break
+    coef = w / sigma
+    return coef, ybar - float(coef @ mu), sweeps
+
+
 class TestLasso:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_covariance_updates_match_the_residual_form(self, seed):
+        # correlated columns on unequal scales; lambda 0, mid-path and above lambda_max
+        rng = np.random.default_rng(100 + seed)
+        n, d = 441, 4
+        Z = rng.normal(size=(n, d))
+        X = (Z + 0.6 * Z[:, [0]]) * [1.0, 30.0, 0.01, 500.0]
+        y = X @ rng.normal(size=d) + 2.0 + 0.1 * rng.normal(size=n)
+        Xs = (X - X.mean(0)) / X.std(0)
+        lam_max = float(np.max(np.abs(Xs.T @ (y - y.mean()))) / n)
+        for lam in (0.0, 0.3 * lam_max, 1.01 * lam_max):
+            fit = lasso_fit(X, y, lam)
+            coef, intercept, sweeps = _residual_lasso(X, y, lam)
+            assert fit.converged
+            assert fit.coef * X.std(0) == pytest.approx(coef * X.std(0), rel=1e-8, abs=1e-10)
+            assert fit.intercept == pytest.approx(intercept, rel=1e-8, abs=1e-10)
+            assert abs(fit.sweeps - sweeps) <= 1
+        assert np.all(fit.coef == 0.0) and sweeps == fit.sweeps == 1
+
     def test_lambda_zero_orthonormal(self):
         rng = np.random.default_rng(0)
         n = 400
@@ -176,6 +225,22 @@ class TestPipeline:
     def test_small_term_dropped(self, fitted):
         _, report = fitted
         assert "theta*P1^2" in report.dropped[3]
+
+    def test_shipped_fit_is_pinned(self, fitted):
+        # Phi and every encrypted session rest on these bits; the LASSO's own values
+        # decide only the support, which the least-squares refit then fits
+        coeffs, report = fitted
+        assert [w.hex() for w in coeffs.w] == [
+            "0x1.0d290cb1f1f44p+4", "0x1.f80ebdb03194fp+3", "0x1.2ba5b6cfa66b5p-44",
+            "-0x1.6b8520d55c666p+4", "0x1.e6b030c55032cp+1", "0x1.c252906084939p+2",
+            "-0x1.a1cac083126e8p-5", "-0x1.3656bf5ac586dp-6", "0x1.3ffffffffff52p+1",
+            "-0x1.a1cac083126e8p-5", "0x1.3656bf5ac5875p-6", "0x1.3ffffffffff5cp+1",
+            "-0x1.e6b030c5501a4p+2", "-0x1.c252906084949p+3",
+        ]
+        assert report.sweeps == {1: 11, 2: 2, 3: 341, 4: 2, 5: 2}
+        assert coeffs.pruned == ("f3:theta*P1^2",)
+        assert {t: sorted(d) for t, d in report.dropped.items()} == {
+            1: [], 2: [], 3: ["theta*P1^2"], 4: [], 5: []}
 
     def test_eval_matches_rational_on_operating_strip(self, fitted):
         coeffs, _ = fitted
